@@ -9,7 +9,6 @@ from .measure import (
     enumerate_branches,
     project,
     synthesized_table,
-    verify_branch,
 )
 from .protocols import (
     PROTOCOL_IDS,
@@ -43,5 +42,4 @@ __all__ = [
     "run_walks",
     "superpose",
     "synthesized_table",
-    "verify_branch",
 ]

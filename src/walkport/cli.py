@@ -14,6 +14,7 @@ and are byte-identical for identical configurations.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -60,6 +61,8 @@ def parse_amplitudes(text: str) -> np.ndarray:
                 values.append(complex(float(token), 0.0))
         except ValueError:
             raise ConfigError(f"cannot parse amplitude {token!r}") from None
+        if not cmath.isfinite(values[-1]):
+            raise ConfigError(f"amplitude {token!r} is not finite")
     return np.array(values, dtype=complex)
 
 
@@ -125,13 +128,20 @@ def payload_descriptor(payload: Payload) -> dict:
     }
 
 
+def write_file(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+
+
 def emit(report: dict, args) -> None:
     if getattr(args, "format", "json") == "table-text":
         text = render_text(report)
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_file(Path(args.out), text)
     else:
         sys.stdout.write(text)
 
@@ -151,6 +161,12 @@ def render_text(report: dict, indent: str = "") -> str:
     return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
 
 
+def protocol_spec(args):
+    if args.bound < 1:
+        raise ConfigError(f"--bound must be positive, got {args.bound}")
+    return get_protocol(args.protocol, bound=args.bound)
+
+
 def protocol_table(args, spec):
     table = measure.synthesized_table(spec)
     if getattr(args, "corrupt_table", None):
@@ -159,7 +175,7 @@ def protocol_table(args, spec):
 
 
 def cmd_run(args) -> int:
-    spec = get_protocol(args.protocol, bound=args.bound)
+    spec = protocol_spec(args)
     payloads, source, warnings = resolve_payloads(args, spec.qubits)
     table = protocol_table(args, spec)
     tol = args.tol
@@ -279,7 +295,7 @@ def parse_family_selection(text: str, available: list[str]) -> list[str]:
 
 
 def cmd_tables(args) -> int:
-    spec = get_protocol(args.protocol, bound=args.bound)
+    spec = protocol_spec(args)
     available = [f.name for f in spec.position_families]
     selected = (
         parse_family_selection(args.families, available) if args.families else available
@@ -309,11 +325,12 @@ def cmd_tables(args) -> int:
         base = Path(out)
         for name, data in family_tables.items():
             path = base / f"{spec.id}_{name}.json"
-            path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+            write_file(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
         summary = dict(report)
         summary["synthesized"] = sorted(family_tables)
-        (base / f"{spec.id}_tables_report.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        write_file(
+            base / f"{spec.id}_tables_report.json",
+            json.dumps(summary, indent=2, sort_keys=True) + "\n",
         )
     else:
         emit(report, args)

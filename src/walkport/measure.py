@@ -6,11 +6,15 @@ on the measured coins.  For every branch we compute the probability, apply
 the correction table's Pauli string to the residual on the target coins,
 and score the result against the expected swapped payloads.
 
-Correction tables are synthesized by searching Pauli strings against a
-generic payload and confirming on fresh random payloads; the synthesized
-tables are the source of truth.  Reference tables bundled under ``data/``
-are compared against them row by row and any disagreement is reported, not
-silently adopted.
+Every step from the payloads to a branch residual is linear, so each
+branch compiles, once, to a small matrix of ``alice ⊗ bob`` (built from the
+basis payloads by the sparse engine below); verifying a payload is then one
+sparse mat-vec.  Correction tables are read off those matrices: a branch is
+correctable exactly when its map is a Pauli string times the swap, which
+proves fidelity one for every payload.  The synthesized tables are the
+source of truth.  Reference tables bundled under ``data/`` are compared
+against them row by row and any disagreement is reported, not silently
+adopted.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import MalformedProjector, MissingCorrection, NoPauliCorrection
 from .hilbert import Label, RegisterLayout, SparseState
@@ -31,7 +36,7 @@ from .protocols import (
     PositionFamily,
     ProtocolSpec,
     bits_to_index,
-    random_payload,
+    check_payload,
     run_walks,
     seeded_payloads,
 )
@@ -39,15 +44,15 @@ from .protocols import (
 VACUOUS_TOL = 1e-14
 RENORM_TOL_SQ = 1e-24
 PROJECTOR_TOL = 1e-12
-SYNTH_FIDELITY_TOL = 1e-10
+PAULI_TOL = 1e-10
 BRANCH_FIDELITY_TOL = 1e-9
 
+# Indexed by x + 2z for one coin's masks.
 PAULI_OPS = ("I", "X", "Z", "ZX")
 
-# Seed for the generic payload used during table synthesis, and the number
-# of fresh payloads the synthesized table is confirmed against.
-SYNTH_SEED = 1889
-SYNTH_CONFIRM = 20
+# Seed of the generic payloads that compare_tables checks differing
+# reference rows against.
+COMPARE_SEED = 1890
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +190,9 @@ class CorrectionTable:
 
     protocol: str
     rows: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
+    _permutations: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def get(self, position: str, coin: str) -> tuple[tuple[str, str], ...]:
         try:
@@ -193,6 +201,28 @@ class CorrectionTable:
             raise MissingCorrection(
                 f"no correction for outcome ({position!r}, {coin!r}) in {self.protocol}"
             ) from None
+
+    def signed_permutations(
+        self, keys: tuple[tuple[str, str], ...], layout: RegisterLayout
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows for ``keys`` as ``corrected[b] = sign[b] * residual[b][src[b]]``.
+
+        Each row is applied by apply_pauli_string to a probe state on the
+        target coins whose amplitude at basis index i is i + 1, which shows
+        where every entry moves and with which sign.  Cached on the table.
+        """
+        cache_key = (keys, layout)
+        if cache_key not in self._permutations:
+            labels = itertools.product((0, 1), repeat=len(layout))
+            probe = SparseState(layout, {label: i + 1.0 for i, label in enumerate(labels)})
+            moved = np.array(
+                [
+                    dense_on_targets(apply_pauli_string(probe, self.get(*key))).real
+                    for key in keys
+                ]
+            )
+            self._permutations[cache_key] = (np.abs(moved).astype(int) - 1, np.sign(moved))
+        return self._permutations[cache_key]
 
     def to_json_dict(self) -> dict:
         return {
@@ -259,34 +289,6 @@ def pauli_net_classes(
     return classes
 
 
-# Candidate Pauli strings on k coins: (op tuple, xmask, sign vector) with
-# the first coin most significant, ops ordered I < X < Z < ZX.
-_CANDIDATE_CACHE: dict[int, list[tuple[tuple[str, ...], int, np.ndarray]]] = {}
-
-
-def _candidates(k: int) -> list[tuple[tuple[str, ...], int, np.ndarray]]:
-    if k not in _CANDIDATE_CACHE:
-        dim = 1 << k
-        idx = np.arange(dim)
-        entries = []
-        for ops in itertools.product(PAULI_OPS, repeat=k):
-            xmask = sum(1 << (k - 1 - i) for i, op in enumerate(ops) if "X" in op)
-            zmask = sum(1 << (k - 1 - i) for i, op in enumerate(ops) if "Z" in op)
-            signs = np.where(_parity(idx & zmask), -1.0, 1.0)
-            entries.append((ops, xmask, signs))
-        _CANDIDATE_CACHE[k] = entries
-    return _CANDIDATE_CACHE[k]
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values, dtype=bool)
-    v = values.copy()
-    while v.any():
-        out ^= (v & 1).astype(bool)
-        v >>= 1
-    return out
-
-
 def dense_on_targets(state: SparseState) -> np.ndarray:
     """A coin-only state as a dense vector, first register most significant."""
     k = len(state.layout)
@@ -315,24 +317,27 @@ def expected_output_dense(spec: ProtocolSpec, payload: Payload) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BranchResult:
-    """One joint measurement outcome with its corrected residual."""
+    """One joint measurement outcome with its corrected residual.
+
+    ``vector`` is the renormalized residual on the target coins, first
+    target most significant; vacuous branches keep it uncorrected.
+    """
 
     position: str
     coin: str
     probability: float
-    corrected: SparseState
+    vector: np.ndarray
     fidelity: float
     vacuous: bool
     targets: tuple[str, ...]
+    layout: RegisterLayout
+    tol: float
 
-
-def verify_branch(branch: BranchResult, payload: Payload) -> float:
-    """Fidelity of the corrected residual against the swapped payloads."""
-    if branch.vacuous:
-        return 0.0
-    expected = np.kron(payload.bob, payload.alice)
-    vec = dense_on_targets(branch.corrected)
-    return float(abs(np.vdot(expected, vec)) ** 2)
+    @property
+    def corrected(self) -> SparseState:
+        """``vector`` as a sparse state on the target-coin layout."""
+        labels = itertools.product((0, 1), repeat=len(self.layout))
+        return SparseState(self.layout, dict(zip(labels, self.vector.tolist())), self.tol)
 
 
 def branch_finals(
@@ -354,6 +359,85 @@ def branch_finals(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Compiled branch maps
+
+
+@dataclass(frozen=True, eq=False)
+class BranchMaps:
+    """Every branch of a measurement plan as one linear map of the payloads.
+
+    Rows ``b*dim`` to ``(b+1)*dim`` of ``matrix`` hold ``M_b``, the map of
+    branch ``keys[b]``: ``M_b @ kron(alice, bob)`` is that branch's
+    unnormalized residual on the target coins, whose squared norm is the
+    branch probability.  Keys are sorted.
+    """
+
+    keys: tuple[tuple[str, str], ...]
+    matrix: sparse.csr_matrix
+    layout: RegisterLayout
+    tol: float
+
+    @property
+    def dim(self) -> int:
+        return 1 << len(self.layout)
+
+    def block(self, b: int) -> np.ndarray:
+        """``M_b`` as a dense ``dim x dim`` matrix."""
+        return self.matrix[b * self.dim : (b + 1) * self.dim].toarray()
+
+
+def compile_branch_maps(
+    spec: ProtocolSpec,
+    families: Sequence[PositionFamily] | None = None,
+    mode: str = "hadamard",
+) -> BranchMaps:
+    """Build every branch map with the sparse engine.
+
+    Walk steps and projections are linear and the payloads enter only
+    through ``alice ⊗ bob``, so column ``i*d + j`` of ``M_b`` is branch b's
+    residual for the basis payloads ``(e_i, e_j)``, scaled back by the
+    square root of its probability.
+    """
+    d = 1 << spec.qubits
+    basis = np.eye(d)
+    columns: dict[tuple[str, str], list[tuple[int, int, complex]]] = {}
+    for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
+        finals = branch_finals(spec, Payload(basis[i], basis[j]), families, mode)
+        for key, (prob, final) in finals.items():
+            scale = math.sqrt(prob)
+            columns.setdefault(key, []).extend(
+                (bits_to_index(label), col, scale * amp)
+                for label, amp in final.amps.items()
+            )
+    keys = tuple(sorted(columns))
+    layout = RegisterLayout(spec.layout.register(name) for name in spec.target_coins)
+    dim = 1 << len(layout)
+    rows, cols, data = zip(
+        *((b * dim + r, c, v) for b, key in enumerate(keys) for r, c, v in columns[key])
+    )
+    matrix = sparse.csr_matrix(
+        (np.array(data, dtype=complex), (rows, cols)), shape=(len(keys) * dim, d * d)
+    )
+    return BranchMaps(keys, matrix, layout, spec.tol)
+
+
+_MAP_CACHE: dict[tuple, BranchMaps] = {}
+
+
+def branch_maps(
+    spec: ProtocolSpec,
+    families: Sequence[PositionFamily] | None = None,
+    mode: str = "hadamard",
+) -> BranchMaps:
+    """Compiled branch maps, cached per protocol id, layout, tol, families and mode."""
+    families = tuple(spec.position_families if families is None else families)
+    key = (spec.id, spec.layout, spec.tol, families, mode)
+    if key not in _MAP_CACHE:
+        _MAP_CACHE[key] = compile_branch_maps(spec, families, mode)
+    return _MAP_CACHE[key]
+
+
 def enumerate_branches(
     spec: ProtocolSpec,
     payload: Payload,
@@ -361,83 +445,77 @@ def enumerate_branches(
     families: Sequence[PositionFamily] | None = None,
     mode: str = "hadamard",
 ) -> list[BranchResult]:
-    """Every (position outcome, coin outcome) branch, corrected and scored."""
+    """Every (position outcome, coin outcome) branch, corrected and scored.
+
+    One product of the compiled maps with ``alice ⊗ bob`` gives every
+    branch's residual; the table's rows then apply as signed permutations.
+    """
+    check_payload(spec, payload)
     if table is None:
         table = synthesized_table(spec)
-    expected = expected_output_dense(spec, payload)
-    results = []
-    for (pos_name, coin_name), (prob, final) in branch_finals(
-        spec, payload, families, mode
-    ).items():
-        ops = table.get(pos_name, coin_name)
-        vacuous = prob < VACUOUS_TOL
-        if vacuous:
-            corrected = final
-            fidelity = 0.0
-        else:
-            corrected = apply_pauli_string(final, ops)
-            fidelity = float(abs(np.vdot(expected, dense_on_targets(corrected))) ** 2)
-        results.append(
-            BranchResult(
-                position=pos_name,
-                coin=coin_name,
-                probability=prob,
-                corrected=corrected,
-                fidelity=fidelity,
-                vacuous=vacuous,
-                targets=spec.target_coins,
-            )
+    maps = branch_maps(spec, families, mode)
+    src, sign = table.signed_permutations(maps.keys, maps.layout)
+    residuals = (maps.matrix @ np.kron(payload.alice, payload.bob)).reshape(src.shape)
+    probs = np.einsum("bi,bi->b", residuals.conj(), residuals).real
+    vacuous = probs < VACUOUS_TOL
+    scale = np.zeros_like(probs)
+    np.divide(1.0, np.sqrt(probs), out=scale, where=probs > RENORM_TOL_SQ)
+    corrected = sign * np.take_along_axis(residuals, src, axis=1)
+    vectors = np.where(vacuous[:, None], residuals, corrected) * scale[:, None]
+    overlaps = vectors @ expected_output_dense(spec, payload).conj()
+    fidelities = np.where(vacuous, 0.0, np.abs(overlaps) ** 2)
+    return [
+        BranchResult(
+            position=pos_name,
+            coin=coin_name,
+            probability=prob,
+            vector=vector,
+            fidelity=fidelity,
+            vacuous=vac,
+            targets=spec.target_coins,
+            layout=maps.layout,
+            tol=maps.tol,
         )
-    results.sort(key=lambda b: (b.position, b.coin))
-    return results
+        for (pos_name, coin_name), prob, vector, fidelity, vac in zip(
+            maps.keys, probs.tolist(), vectors, fidelities.tolist(), vacuous.tolist()
+        )
+    ]
 
 
 def synthesize_table(
     spec: ProtocolSpec,
     families: Sequence[PositionFamily] | None = None,
     mode: str = "hadamard",
-    seed: int = SYNTH_SEED,
-    confirm: int = SYNTH_CONFIRM,
 ) -> CorrectionTable:
-    """Search the Pauli string for every branch and confirm on fresh payloads.
+    """Read every branch's Pauli correction off its compiled map.
 
-    The search runs per branch over products of {I, X, Z, ZX} on the target
-    coins, in lexicographic order, and keeps the first string reaching
-    fidelity one on a generic payload.  Raises NoPauliCorrection if a branch
-    admits none, which signals a malformed projector family.
+    With its columns reordered by the swap, a correctable branch map is
+    ``lam * X^x Z^z`` for one pair of masks, so ``Z^z X^x`` (an I, X, Z or
+    ZX per target coin) returns the swapped payloads for every payload.
+    Raises NoPauliCorrection if a branch map has no such form, which
+    signals a malformed projector family.
     """
-    rng = np.random.default_rng(seed)
-    payload = random_payload(rng, spec.qubits)
-    expected = expected_output_dense(spec, payload)
-    k = len(spec.target_coins)
+    maps = branch_maps(spec, families, mode)
+    d = 1 << spec.qubits
+    idx = np.arange(maps.dim)
+    swap = (idx % d) * d + idx // d
+    bits = [1 << m for m in range(len(spec.target_coins))]
     rows: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for key, (prob, final) in branch_finals(spec, payload, families, mode).items():
-        if prob < VACUOUS_TOL:
-            raise NoPauliCorrection(
-                f"branch {key} is vacuous on a generic payload; family is malformed"
-            )
-        vec = dense_on_targets(final)
-        chosen = None
-        for ops, xmask, signs in _candidates(k):
-            corrected = signs * vec[np.arange(len(vec)) ^ xmask]
-            if abs(np.vdot(expected, corrected)) ** 2 >= 1.0 - SYNTH_FIDELITY_TOL:
-                chosen = ops
-                break
-        if chosen is None:
+    for b, key in enumerate(maps.keys):
+        block = maps.block(b)[:, swap]
+        xmask = int(np.argmax(np.abs(block[:, 0])))
+        lam = block[xmask, 0]
+        zmask = sum(bit for bit in bits if (block[bit ^ xmask, bit] * lam.conjugate()).real < 0)
+        pauli = np.zeros_like(block)
+        pauli[idx ^ xmask, idx] = np.where(np.bitwise_count(idx & zmask) & 1, -1, 1)
+        if abs(lam) ** 2 < VACUOUS_TOL or np.abs(block - lam * pauli).max() > PAULI_TOL:
             raise NoPauliCorrection(f"no Pauli string corrects branch {key}")
         rows[key] = tuple(
-            (reg, op) for reg, op in zip(spec.target_coins, chosen) if op != "I"
+            (reg, PAULI_OPS[bool(xmask & bit) + 2 * bool(zmask & bit)])
+            for reg, bit in zip(spec.target_coins, reversed(bits))
+            if (xmask | zmask) & bit
         )
-    table = CorrectionTable(spec.id, rows)
-    for _ in range(confirm):
-        check = random_payload(rng, spec.qubits)
-        for branch in enumerate_branches(spec, check, table, families, mode):
-            if not branch.vacuous and branch.fidelity < 1.0 - BRANCH_FIDELITY_TOL:
-                raise NoPauliCorrection(
-                    f"correction for ({branch.position}, {branch.coin}) failed "
-                    f"confirmation at fidelity {branch.fidelity!r}"
-                )
-    return table
+    return CorrectionTable(spec.id, rows)
 
 
 def generate_family_tables(
@@ -447,14 +525,15 @@ def generate_family_tables(
     return synthesize_table(spec, [family], mode)
 
 
-_TABLE_CACHE: dict[str, CorrectionTable] = {}
+_TABLE_CACHE: dict[tuple, CorrectionTable] = {}
 
 
 def synthesized_table(spec: ProtocolSpec) -> CorrectionTable:
-    """The full synthesized table for a protocol, cached per protocol id."""
-    if spec.id not in _TABLE_CACHE:
-        _TABLE_CACHE[spec.id] = synthesize_table(spec)
-    return _TABLE_CACHE[spec.id]
+    """The full synthesized table for a protocol, cached per id, layout and tol."""
+    key = (spec.id, spec.layout, spec.tol)
+    if key not in _TABLE_CACHE:
+        _TABLE_CACHE[key] = synthesize_table(spec)
+    return _TABLE_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -485,43 +564,40 @@ def compare_tables(
     """
     synth = synthesized_table(spec)
     if payloads is None:
-        payloads = seeded_payloads(SYNTH_SEED + 1, 3, spec.qubits)
+        payloads = seeded_payloads(COMPARE_SEED, 3, spec.qubits)
     covered_positions = sorted({pos for pos, _ in reference.rows})
     expected_keys = [k for k in sorted(synth.rows) if k[0] in covered_positions]
-    mismatches = []
     missing = [list(k) for k in expected_keys if k not in reference.rows]
     extra = [list(k) for k in sorted(reference.rows) if k not in synth.rows]
-    finals = [
-        (payload, branch_finals(spec, payload)) for payload in payloads
+    differing = [
+        key
+        for key in expected_keys
+        if key in reference.rows
+        and pauli_net_classes(reference.rows[key], spec.target_coins)
+        != pauli_net_classes(synth.rows[key], spec.target_coins)
     ]
-    for key in expected_keys:
-        if key not in reference.rows:
-            continue
-        ref_ops = reference.rows[key]
-        syn_ops = synth.rows[key]
-        if pauli_net_classes(ref_ops, spec.target_coins) == pauli_net_classes(
-            syn_ops, spec.target_coins
-        ):
-            continue
-        ok = True
-        for payload, table in finals:
-            expected = expected_output_dense(spec, payload)
-            prob, final = table[key]
-            if prob < VACUOUS_TOL:
-                continue
-            corrected = dense_on_targets(apply_pauli_string(final, ref_ops))
-            if abs(np.vdot(expected, corrected)) ** 2 < 1.0 - BRANCH_FIDELITY_TOL:
-                ok = False
-                break
-        mismatches.append(
-            {
-                "position": key[0],
-                "coin": key[1],
-                "reference": [list(p) for p in ref_ops],
-                "synthesized": [list(p) for p in syn_ops],
-                "reference_achieves_target": ok,
-            }
-        )
+    achieves = dict.fromkeys(differing, True)
+    if differing:
+        patched = CorrectionTable(spec.id, {**synth.rows, **reference.rows})
+        for payload in payloads:
+            for branch in enumerate_branches(spec, payload, patched):
+                key = (branch.position, branch.coin)
+                if (
+                    key in achieves
+                    and not branch.vacuous
+                    and branch.fidelity < 1.0 - BRANCH_FIDELITY_TOL
+                ):
+                    achieves[key] = False
+    mismatches = [
+        {
+            "position": key[0],
+            "coin": key[1],
+            "reference": [list(p) for p in reference.rows[key]],
+            "synthesized": [list(p) for p in synth.rows[key]],
+            "reference_achieves_target": achieves[key],
+        }
+        for key in differing
+    ]
     return {
         "protocol": spec.id,
         "rows_checked": len(expected_keys),

@@ -67,7 +67,7 @@ class Payload:
             )
         for name in ("alice", "bob"):
             norm = np.linalg.norm(getattr(self, name))
-            if abs(norm - 1.0) > PAYLOAD_NORM_TOL:
+            if not math.isfinite(norm) or abs(norm - 1.0) > PAYLOAD_NORM_TOL:
                 raise NotNormalized(f"{name} vector has norm {norm!r}")
 
     @property
@@ -372,13 +372,18 @@ def get_protocol(protocol_id: str, bound: int = DEFAULT_BOUND, tol: float = PRUN
     raise KeyError(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
 
 
-def build_initial(spec: ProtocolSpec, payload: Payload) -> SparseState:
-    """Product state: walkers at the origin, payloads on the *_in coins."""
+def check_payload(spec: ProtocolSpec, payload: Payload) -> None:
+    """Raise ShapeMismatch unless the payload fits the protocol."""
     if payload.qubits != spec.qubits:
         raise ShapeMismatch(
             f"{spec.id} needs {2**spec.qubits}-component payloads, "
             f"got {len(payload.alice)}"
         )
+
+
+def build_initial(spec: ProtocolSpec, payload: Payload) -> SparseState:
+    """Product state: walkers at the origin, payloads on the *_in coins."""
+    check_payload(spec, payload)
     plus = 1.0 / math.sqrt(2.0)
     blocks: list[tuple[list[tuple[int, ...]], list[complex]]] = []
     consumed: set[str] = set()

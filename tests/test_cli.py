@@ -181,3 +181,23 @@ def test_table_text_format(tmp_path, warm_tables):
     text = out.read_text()
     assert "ok: True" in text
     assert "protocol: cycle1q" in text
+
+
+def test_non_finite_payload_is_a_config_error(capsys):
+    assert run_cli("run", "line1q", "--alice", "nan,0", "--bob", "1,0") == 2
+    assert run_cli("run", "line1q", "--alice", "1,0", "--bob", "inf:0,0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_positive_bound_is_a_config_error(capsys):
+    assert run_cli("run", "line1q", "--bound", "0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, warm_tables, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli("run", "line1q", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,11 @@ from walkport.measure import (
     CorrectionTable,
     ProjectorSpec,
     apply_pauli_string,
+    branch_finals,
+    branch_maps,
     coin_projectors,
     corrupt_table,
+    dense_on_targets,
     enumerate_branches,
     expected_output,
     generate_family_tables,
@@ -22,9 +27,10 @@ from walkport.measure import (
     project,
     synthesize_table,
     synthesized_table,
-    verify_branch,
 )
+from walkport.hilbert import SparseState
 from walkport.protocols import (
+    PROTOCOL_IDS,
     Payload,
     get_protocol,
     run_walks,
@@ -132,7 +138,9 @@ def test_verify_branch_detects_missing_correction():
     }
     bad = branches[("00", "++")]
     assert bad.fidelity < 1e-10
-    assert abs(verify_branch(bad, payload) - bad.fidelity) < 1e-12
+    expected = np.kron(payload.bob, payload.alice)
+    direct = abs(np.vdot(expected, dense_on_targets(bad.corrected))) ** 2
+    assert abs(direct - bad.fidelity) < 1e-12
 
 
 def test_missing_correction_raises(payload_1q):
@@ -180,7 +188,7 @@ def test_generate_family_table_single_family():
 def test_computational_reading_not_pauli_correctable():
     spec = get_protocol("single2q")
     with pytest.raises(NoPauliCorrection):
-        synthesize_table(spec, [_family(spec, "P1")], mode="computational", confirm=0)
+        synthesize_table(spec, [_family(spec, "P1")], mode="computational")
 
 
 def test_corrupted_table_detected(warm_tables, payload_1q):
@@ -208,3 +216,63 @@ def test_table_serialization_roundtrip(warm_tables):
     back = CorrectionTable.from_json_dict(table.to_json_dict())
     assert back.rows == table.rows
     assert back.protocol == table.protocol
+
+
+def _pauli_matrix(ops, layout):
+    """The listed Pauli string as a dense matrix, column by column from the engine."""
+    dim = 1 << len(layout)
+    labels = list(itertools.product((0, 1), repeat=len(layout)))
+    columns = [
+        dense_on_targets(apply_pauli_string(SparseState(layout, {label: 1.0}), ops))
+        for label in labels
+    ]
+    return np.array(columns).reshape(dim, dim).T
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_corrected_branch_maps_are_the_swap(warm_tables, pid):
+    # P_b M_b = lam_b SWAP entrywise for every branch: fidelity one is then
+    # proved for every payload, and sum |lam_b|^2 = 1 is completeness.
+    spec = get_protocol(pid)
+    maps = branch_maps(spec)
+    table = synthesized_table(spec)
+    d = 1 << spec.qubits
+    swap = np.zeros((d * d, d * d))
+    for i, j in itertools.product(range(d), repeat=2):
+        swap[j * d + i, i * d + j] = 1.0
+    weight = 0.0
+    for b, key in enumerate(maps.keys):
+        product = _pauli_matrix(table.get(*key), maps.layout) @ maps.block(b)
+        lam = product[0, 0]
+        assert np.abs(product - lam * swap).max() <= 1e-12
+        weight += abs(lam) ** 2
+    assert abs(weight - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_map_path_agrees_with_sparse_engine(warm_tables, pid):
+    spec = get_protocol(pid)
+    table = synthesized_table(spec)
+    for payload in seeded_payloads(61, 3, spec.qubits):
+        finals = branch_finals(spec, payload)
+        branches = enumerate_branches(spec, payload, table)
+        assert [(b.position, b.coin) for b in branches] == sorted(finals)
+        for branch in branches:
+            prob, final = finals[(branch.position, branch.coin)]
+            assert abs(branch.probability - prob) <= 1e-12
+            reference = dense_on_targets(
+                apply_pauli_string(final, table.get(branch.position, branch.coin))
+            )
+            assert np.abs(branch.vector - reference).max() <= 1e-12
+
+
+def test_caches_are_keyed_on_bound_and_tol(warm_tables):
+    default = synthesized_table(LINE)
+    assert synthesized_table(get_protocol("line1q")) is default
+    for spec in (get_protocol("line1q", bound=4), get_protocol("line1q", tol=1e-10)):
+        table = synthesized_table(spec)
+        assert table is not default and table.rows == default.rows
+        assert branch_maps(spec) is not branch_maps(LINE)
+    family = [_family(LINE, "00")]
+    assert branch_maps(LINE, family) is not branch_maps(LINE)
+    assert branch_maps(LINE, family, "computational") is not branch_maps(LINE, family)

@@ -24,6 +24,8 @@ def test_payload_validation():
         Payload(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(NotNormalized):
         Payload(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(NotNormalized):
+        Payload(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_random_payloads_are_unit_norm_and_seeded():
