@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -95,25 +96,33 @@ def explicit_payload(args, qubits: int) -> tuple[Payload, list[str]]:
     return Payload(vectors["alice"], vectors["bob"]), warnings
 
 
+def resolve_seed_count(args, default_count: int) -> tuple[int, int]:
+    """``--seed`` (else ``WALKPORT_SEED``, else 0) and ``--count``, validated."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get(SEED_ENV)
+        if env is not None:
+            try:
+                seed, source = int(env), SEED_ENV
+            except ValueError:
+                raise ConfigError(f"{SEED_ENV}={env!r} is not an integer") from None
+    if seed is None:
+        seed = 0
+    if seed < 0:
+        raise ConfigError(f"{source} must be non-negative, got {seed}")
+    count = args.count if args.count is not None else default_count
+    if count < 1:
+        raise ConfigError(f"--count must be positive, got {count}")
+    return seed, count
+
+
 def resolve_payloads(args, qubits: int) -> tuple[list[Payload], dict, list[str]]:
     if (args.alice is None) != (args.bob is None):
         raise ConfigError("--alice and --bob must be given together")
     if args.alice is not None:
         payload, warnings = explicit_payload(args, qubits)
         return [payload], {"source": "explicit"}, warnings
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(f"{SEED_ENV}={env!r} is not an integer") from None
-    if seed is None:
-        seed = 0
-    count = args.count if args.count is not None else 1
-    if count < 1:
-        raise ConfigError("--count must be positive")
+    seed, count = resolve_seed_count(args, default_count=1)
     return (
         seeded_payloads(seed, count, qubits),
         {"source": "seeded", "seed": seed, "count": count},
@@ -175,10 +184,12 @@ def protocol_table(args, spec):
 
 
 def cmd_run(args) -> int:
+    tol = args.tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be positive and finite, got {tol}")
     spec = protocol_spec(args)
     payloads, source, warnings = resolve_payloads(args, spec.qubits)
     table = protocol_table(args, spec)
-    tol = args.tol
     payload_reports = []
     ok = True
     for index, payload in enumerate(payloads):
@@ -225,9 +236,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed, count = resolve_seed_count(args, default_count=25)
     if args.claim == "two-qubit":
-        count = args.count if args.count is not None else 25
         payloads = seeded_payloads(seed, count, 2)
         corrupted = None
         kwargs = {}
@@ -246,7 +256,6 @@ def cmd_equiv(args) -> int:
             corrupted = family
         core = equivalence.check_two_qubit_equivalence(payloads, **kwargs)
     elif args.claim == "cycle-line":
-        count = args.count if args.count is not None else 25
         payloads = seeded_payloads(seed, count, 1)
         corrupted = None
         kwargs = {}
@@ -341,18 +350,14 @@ ORACLE_TOL = 1e-10
 
 
 def cmd_oracle_check(args) -> int:
-    ids = PROTOCOL_IDS if args.protocol in (None, "all") else (args.protocol,)
-    seed = args.seed if args.seed is not None else 0
-    count = args.count if args.count is not None else 5
+    ids = (args.protocol,) if args.protocol else PROTOCOL_IDS
+    seed, count = resolve_seed_count(args, default_count=5)
     checks = []
     ok = True
     for pid in ids:
         spec = get_protocol(pid)
         ospec = oracle.oracle_spec(pid)
-        defects = [
-            oracle.unitarity_defect(oracle.cached_step_matrix(ospec, k))
-            for k in range(4)
-        ]
+        defects = [oracle.cached_unitarity_defect(ospec, k) for k in range(4)]
         max_delta = 0.0
         for payload in seeded_payloads(seed, count, spec.qubits):
             dense = oracle.dense_run(ospec, payload)
@@ -393,19 +398,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, protocol: bool = True):
-        if protocol:
-            p.add_argument("protocol", nargs="?", choices=PROTOCOL_IDS)
-            p.add_argument("--protocol", dest="protocol_flag", choices=PROTOCOL_IDS)
+    # Each verb registers only the flags it honours.
+    def protocol(p):
+        p.add_argument("protocol", nargs="?", choices=PROTOCOL_IDS)
+        p.add_argument("--protocol", dest="protocol_flag", choices=PROTOCOL_IDS)
+
+    def seed_count(p):
         p.add_argument("--seed", type=int)
         p.add_argument("--count", type=int)
+
+    def bound(p):
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+    def output(p):
         p.add_argument("--out")
         p.add_argument("--format", choices=("json", "table-text"), default="json")
 
     p_run = sub.add_parser("run", help="enumerate and verify every branch")
-    common(p_run)
+    protocol(p_run)
+    seed_count(p_run)
+    bound(p_run)
+    p_run.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    output(p_run)
     p_run.add_argument("--alice", help="payload amplitudes, e.g. '1,0' or '0.6:0,0:0.8'")
     p_run.add_argument("--bob")
     p_run.add_argument("--corrupt-table", help="family name to corrupt (failure injection)")
@@ -413,17 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_equiv = sub.add_parser("equiv", help="run a cross-protocol equivalence check")
     p_equiv.add_argument("claim", choices=("two-qubit", "cycle-line"))
-    common(p_equiv, protocol=False)
+    seed_count(p_equiv)
+    output(p_equiv)
     p_equiv.add_argument("--corrupt-table")
     p_equiv.set_defaults(func=cmd_equiv)
 
     p_tables = sub.add_parser("tables", help="emit synthesized and reference tables")
-    common(p_tables)
+    protocol(p_tables)
+    bound(p_tables)
+    output(p_tables)
     p_tables.add_argument("--families", help="e.g. 'P3', 'P1..P15', 'Q2,Q5'")
     p_tables.set_defaults(func=cmd_tables)
 
     p_oracle = sub.add_parser("oracle-check", help="cross-validate against the dense oracle")
-    common(p_oracle)
+    protocol(p_oracle)
+    seed_count(p_oracle)
+    output(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

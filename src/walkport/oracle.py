@@ -111,9 +111,20 @@ def coin_projector_factor(value: int) -> sp.csr_matrix:
     return sp.csr_matrix(mat)
 
 
-def _kron_chain(factors: list[sp.spmatrix]) -> sp.csr_matrix:
-    out = factors[0]
-    for factor in factors[1:]:
+def _kron_chain(factors: list[sp.spmatrix | int]) -> sp.csr_matrix:
+    """Kronecker product of ``factors``, where an int ``n`` is the n x n identity.
+
+    Each run of identities becomes one identity of the product dimension, so
+    a term costs one kron per run instead of one per register.
+    """
+    matrices: list[sp.spmatrix] = []
+    for is_identity, run in itertools.groupby(factors, key=lambda f: isinstance(f, int)):
+        if is_identity:
+            matrices.append(sp.identity(math.prod(run), dtype=complex, format="csr"))
+        else:
+            matrices.extend(run)
+    out = matrices[0]
+    for factor in matrices[1:]:
         out = sp.kron(out, factor, format="csr")
     return out.tocsr()
 
@@ -129,7 +140,7 @@ def step_matrix(
         factors = [
             sp.csr_matrix(np.asarray(gate, dtype=complex))
             if reg.name == register
-            else sp.identity(reg.dim, dtype=complex, format="csr")
+            else reg.dim
             for reg in spec.layout
         ]
         term = _kron_chain(factors)
@@ -147,20 +158,12 @@ def step_matrix(
                         coin_projector_factor(outcome[cs.coins.index(reg.name)])
                     )
                 else:
-                    factors.append(sp.identity(reg.dim, dtype=complex, format="csr"))
+                    factors.append(reg.dim)
             term = _kron_chain(factors)
             total = term if total is None else total + term
         matrix = total if matrix is None else total @ matrix
     assert matrix is not None
     return matrix.tocsr()
-
-
-def step_matrix_dense(spec: ProtocolSpec, step_index: int, cap: int = 4096) -> np.ndarray:
-    """Dense ndarray form of a step matrix, for small spaces only."""
-    dim = layout_dim(spec.layout)
-    if dim > cap:
-        raise DimensionOverflow(f"dense ndarray of dimension {dim} exceeds cap {cap}")
-    return step_matrix(spec, step_index).toarray()
 
 
 def unitarity_defect(matrix: sp.spmatrix) -> float:
@@ -196,14 +199,28 @@ def dense_initial(spec: ProtocolSpec, payload: Payload) -> np.ndarray:
     return out
 
 
+# Both caches are keyed on (protocol id, bound, step index).
 _STEP_CACHE: dict[tuple[str, int, int], sp.csr_matrix] = {}
+_DEFECT_CACHE: dict[tuple[str, int, int], float] = {}
+
+
+def _step_key(spec: ProtocolSpec, step_index: int) -> tuple[str, int, int]:
+    return (spec.id, spec.layout.registers[0].size, step_index)
 
 
 def cached_step_matrix(spec: ProtocolSpec, step_index: int) -> sp.csr_matrix:
-    key = (spec.id, spec.layout.registers[0].size, step_index)
+    key = _step_key(spec, step_index)
     if key not in _STEP_CACHE:
         _STEP_CACHE[key] = step_matrix(spec, step_index)
     return _STEP_CACHE[key]
+
+
+def cached_unitarity_defect(spec: ProtocolSpec, step_index: int) -> float:
+    """``unitarity_defect`` of the cached step matrix, computed once per key."""
+    key = _step_key(spec, step_index)
+    if key not in _DEFECT_CACHE:
+        _DEFECT_CACHE[key] = unitarity_defect(cached_step_matrix(spec, step_index))
+    return _DEFECT_CACHE[key]
 
 
 def dense_run(spec: ProtocolSpec, payload: Payload, tol: float = 1e-12) -> SparseState:

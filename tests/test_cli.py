@@ -201,3 +201,71 @@ def test_unwritable_out_is_a_config_error(tmp_path, warm_tables, capsys):
     assert run_cli("run", "line1q", "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+SEEDED_VERBS = (
+    ("run", "line1q"),
+    ("equiv", "cycle-line"),
+    ("oracle-check", "line1q"),
+)
+
+
+@pytest.mark.parametrize("verb", SEEDED_VERBS)
+def test_negative_seed_is_a_config_error(verb, capsys, monkeypatch):
+    assert run_cli(*verb, "--seed", "-1") == 2
+    assert_one_error_line(capsys)
+    monkeypatch.setenv("WALKPORT_SEED", "-1")
+    assert run_cli(*verb) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_non_positive_or_non_finite_tol_is_a_config_error(tol, capsys):
+    assert run_cli("run", "line1q", f"--tol={tol}") == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "line1q", "--count", "0"),
+        ("equiv", "two-qubit", "--count", "0"),
+        ("equiv", "cycle-line", "--count", "-3"),
+        ("oracle-check", "line1q", "--count", "-2"),
+    ],
+)
+def test_non_positive_count_is_a_config_error(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle-check", "line1q", "--bound", "5"),
+        ("oracle-check", "line1q", "--tol", "1e-3"),
+        ("equiv", "cycle-line", "--bound", "5"),
+        ("equiv", "cycle-line", "--tol", "1e-3"),
+        ("tables", "line1q", "--seed", "1"),
+        ("tables", "line1q", "--count", "1"),
+        ("tables", "line1q", "--tol", "1e-3"),
+    ],
+)
+def test_verbs_reject_flags_they_ignore(argv):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+
+
+def test_equiv_and_oracle_check_read_the_env_seed(tmp_path, warm_tables, monkeypatch):
+    monkeypatch.setenv("WALKPORT_SEED", "4")
+    for verb in (("equiv", "cycle-line", "--count", "2"), ("oracle-check", "line1q", "--count", "1")):
+        env_out, flag_out = tmp_path / "env.json", tmp_path / "flag.json"
+        assert run_cli(*verb, "--out", str(env_out)) == 0
+        assert run_cli(*verb, "--seed", "4", "--out", str(flag_out)) == 0
+        assert env_out.read_bytes() == flag_out.read_bytes()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import chains
 from walkport import oracle
@@ -65,17 +66,67 @@ def test_step_matrix_reproduces_first_transition():
 def test_step_matrices_unitary(pid):
     spec = oracle.oracle_spec(pid)
     for k in range(4):
-        assert oracle.unitarity_defect(oracle.cached_step_matrix(spec, k)) < 1e-10
+        defect = oracle.cached_unitarity_defect(spec, k)
+        assert defect < 1e-10
+        assert defect == oracle.unitarity_defect(oracle.step_matrix(spec, k))
+
+
+def test_defect_computed_once_per_protocol_bound_and_step(monkeypatch):
+    monkeypatch.setattr(oracle, "_DEFECT_CACHE", {})
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape[0])
+        return 0.0
+
+    monkeypatch.setattr(oracle, "unitarity_defect", counting)
+    small, large = oracle.oracle_spec("line1q", 3), oracle.oracle_spec("line1q", 4)
+    for _ in range(2):
+        for spec in (small, large):
+            for k in range(4):
+                oracle.cached_unitarity_defect(spec, k)
+    dims = [oracle.layout_dim(small.layout), oracle.layout_dim(large.layout)]
+    assert dims[0] != dims[1]
+    assert calls == [dims[0]] * 4 + [dims[1]] * 4
+
+
+def _plain_kron_chain(factors):
+    out = None
+    for factor in factors:
+        if isinstance(factor, int):
+            factor = sp.identity(factor, dtype=complex, format="csr")
+        out = factor if out is None else sp.kron(out, factor, format="csr")
+    return out.tocsr()
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_step_matrix_bitwise_equal_to_plain_kron_chain(pid, monkeypatch):
+    spec = oracle.oracle_spec(pid)
+    built = [oracle.cached_step_matrix(spec, k) for k in range(4)]
+    monkeypatch.setattr(oracle, "_kron_chain", _plain_kron_chain)
+    for k, matrix in enumerate(built):
+        reference = oracle.step_matrix(spec, k)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(matrix, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def step_matrix_dense(spec, step_index: int, cap: int = 4096) -> np.ndarray:
+    """Dense ndarray form of a step matrix, for small spaces only."""
+    dim = oracle.layout_dim(spec.layout)
+    if dim > cap:
+        raise DimensionOverflow(f"dense ndarray of dimension {dim} exceeds cap {cap}")
+    return oracle.step_matrix(spec, step_index).toarray()
 
 
 def test_dense_matrix_form_for_small_spaces():
     spec = oracle.oracle_spec("cycle1q")
-    mat = oracle.step_matrix_dense(spec, 0)
+    mat = step_matrix_dense(spec, 0)
     assert mat.shape == (256, 256)
     assert np.abs(mat.conj().T @ mat - np.eye(256)).max() < 1e-12
     big = oracle.oracle_spec("single2q")
     with pytest.raises(DimensionOverflow):
-        oracle.step_matrix_dense(big, 0)
+        step_matrix_dense(big, 0)
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
