@@ -120,6 +120,8 @@ def resolve_payloads(args, qubits: int) -> tuple[list[Payload], dict, list[str]]
     if (args.alice is None) != (args.bob is None):
         raise ConfigError("--alice and --bob must be given together")
     if args.alice is not None:
+        if args.seed is not None or args.count is not None:
+            raise ConfigError("--seed and --count do not apply to --alice/--bob payloads")
         payload, warnings = explicit_payload(args, qubits)
         return [payload], {"source": "explicit"}, warnings
     seed, count = resolve_seed_count(args, default_count=1)
@@ -178,7 +180,7 @@ def protocol_spec(args):
 
 def protocol_table(args, spec):
     table = measure.synthesized_table(spec)
-    if getattr(args, "corrupt_table", None):
+    if args.corrupt_table is not None:
         table = measure.corrupt_table(table, args.corrupt_table, spec.target_coins)
     return table
 
@@ -241,7 +243,7 @@ def cmd_equiv(args) -> int:
         payloads = seeded_payloads(seed, count, 2)
         corrupted = None
         kwargs = {}
-        if args.corrupt_table:
+        if args.corrupt_table is not None:
             family = args.corrupt_table
             if family.startswith("Q"):
                 spec = get_protocol("twostep2q")
@@ -259,7 +261,7 @@ def cmd_equiv(args) -> int:
         payloads = seeded_payloads(seed, count, 1)
         corrupted = None
         kwargs = {}
-        if args.corrupt_table:
+        if args.corrupt_table is not None:
             spec = get_protocol("cycle1q")
             kwargs["cycle_table"] = measure.corrupt_table(
                 measure.synthesized_table(spec), args.corrupt_table, spec.target_coins
@@ -307,14 +309,15 @@ def cmd_tables(args) -> int:
     spec = protocol_spec(args)
     available = [f.name for f in spec.position_families]
     selected = (
-        parse_family_selection(args.families, available) if args.families else available
+        parse_family_selection(args.families, available)
+        if args.families is not None
+        else available
     )
     synth = measure.synthesized_table(spec)
     reference = measure.bundled_table(spec.id)
     comparison = measure.compare_tables(spec, reference)
     family_tables = {}
     for name in selected:
-        family = next(f for f in spec.position_families if f.name == name)
         keys = [k for k in sorted(synth.rows) if k[0] == name or k[0].startswith(name + ":")]
         family_tables[name] = measure.CorrectionTable(
             spec.id, {k: synth.rows[k] for k in keys}

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MappingIncomplete, NoPauliCorrection
+from .errors import MappingIncomplete
 from .hilbert import Label, SparseState
 from .measure import (
     enumerate_branches,
     pauli_net_classes,
     project,
     position_projectors,
-    synthesize_table,
     synthesized_table,
 )
 from .protocols import Payload, ProtocolSpec, get_protocol, run_walks
@@ -81,33 +80,12 @@ def phase_aligned_delta(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(u - phase[:, None] * v).max(axis=1)
 
 
-def probe_family_basis_readings(spec: ProtocolSpec) -> dict:
-    """How many families admit Pauli corrections under each projector reading."""
-    out = {}
-    for mode in ("hadamard", "computational"):
-        correctable = []
-        failed = []
-        for family in spec.position_families:
-            try:
-                synthesize_table(spec, [family], mode=mode)
-                correctable.append(family.name)
-            except NoPauliCorrection:
-                failed.append(family.name)
-        out[mode] = {
-            "families_correctable": len(correctable),
-            "families_total": len(spec.position_families),
-            "failed_families": failed,
-        }
-    return out
-
-
 def check_two_qubit_equivalence(
     payloads: list[Payload],
     mapping: BasisMapping | None = None,
     tol: float = EQUIV_TOL,
     single_table=None,
     twostep_table=None,
-    probe_readings: bool = False,
 ) -> dict:
     """Compare every mapped branch pair and the two synthesized tables."""
     single = get_protocol("single2q")
@@ -179,7 +157,7 @@ def check_two_qubit_equivalence(
                         "state_delta": ds,
                     }
                 )
-    report = {
+    return {
         "claim": "two-qubit single-step and two-step protocols are equivalent",
         "payloads": len(payloads),
         "branches_compared": compared,
@@ -189,12 +167,6 @@ def check_two_qubit_equivalence(
         "table_mismatches": table_mismatches,
         "ok": not branch_mismatches and not table_mismatches,
     }
-    if probe_readings:
-        report["basis_readings"] = {
-            "single2q": probe_family_basis_readings(single),
-            "twostep2q": probe_family_basis_readings(twostep),
-        }
-    return report
 
 
 # Family names of the line protocol and their counterparts on the cycle,

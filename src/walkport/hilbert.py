@@ -219,9 +219,6 @@ class SparseState:
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm2() - 1.0) < tol
 
-    def is_zero(self) -> bool:
-        return not self._amps
-
     def scaled(self, factor: complex) -> "SparseState":
         return SparseState(
             self.layout, {l: factor * a for l, a in self._amps.items()}, self.tol
@@ -324,8 +321,3 @@ def apply_coin_gate(state: SparseState, register: str, gate: np.ndarray) -> Spar
             new_label = label[:idx] + (u,) + label[idx + 1 :]
             amps[new_label] = amps.get(new_label, 0.0 + 0.0j) + w * amp
     return SparseState(state.layout, amps, state.tol)
-
-
-def prune(state: SparseState, tol: float | None = None) -> SparseState:
-    """Drop entries below the tolerance (re-applying the constructor rule)."""
-    return SparseState(state.layout, state._amps, state.tol if tol is None else tol)

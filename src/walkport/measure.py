@@ -1,10 +1,11 @@
 """Projective measurement, branch enumeration, and Pauli correction tables.
 
-A measurement plan is a list of position-outcome projectors (possibly
-superpositions over a family's members) crossed with sign-basis outcomes
-on the measured coins.  For every branch we compute the probability, apply
-the correction table's Pauli string to the residual on the target coins,
-and score the result against the expected swapped payloads.
+A measurement plan is the spec's position families, each measured as
+sign-pattern superpositions over its members, crossed with sign-basis
+outcomes on the measured coins.  For every branch we compute the
+probability, apply the correction table's Pauli string to the residual on
+the target coins, and score the result against the expected swapped
+payloads.
 
 Every step from the payloads to a branch residual is linear, so each
 branch compiles, once, to a small matrix of ``alice ⊗ bob`` (built from the
@@ -19,6 +20,7 @@ adopted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -88,35 +90,22 @@ def check_orthogonal(projectors: Sequence[ProjectorSpec]) -> None:
                 )
 
 
-def position_projectors(
-    family: PositionFamily, mode: str = "hadamard"
-) -> list[ProjectorSpec]:
+def position_projectors(family: PositionFamily) -> list[ProjectorSpec]:
     """The orthonormal outcomes measuring one position family.
 
-    ``hadamard`` combines the members with sign patterns (the reading that
-    keeps every payload component alive); ``computational`` measures the
-    members directly.
+    The members are combined with sign patterns, the reading that keeps
+    every payload component alive.  Measuring the members one by one is the
+    same reading over a spec whose families are the single members.
     """
-    if mode == "computational":
-        projs = [
-            ProjectorSpec(family.outcome_name(r), family.registers, ((member, 1.0),))
-            for r, member in enumerate(family.members)
-        ]
-    elif mode == "hadamard":
-        w = 1.0 / math.sqrt(family.outcome_count)
-        projs = [
-            ProjectorSpec(
-                family.outcome_name(r),
-                family.registers,
-                tuple(
-                    (member, s * w)
-                    for member, s in zip(family.members, family.signs(r))
-                ),
-            )
-            for r in range(family.outcome_count)
-        ]
-    else:
-        raise ValueError(f"unknown projector mode {mode!r}")
+    w = 1.0 / math.sqrt(family.outcome_count)
+    projs = [
+        ProjectorSpec(
+            family.outcome_name(r),
+            family.registers,
+            tuple((member, s * w) for member, s in zip(family.members, family.signs(r))),
+        )
+        for r in range(family.outcome_count)
+    ]
     check_orthogonal(projs)
     return projs
 
@@ -341,17 +330,14 @@ class BranchResult:
 
 
 def branch_finals(
-    spec: ProtocolSpec,
-    payload: Payload,
-    families: Sequence[PositionFamily] | None = None,
-    mode: str = "hadamard",
+    spec: ProtocolSpec, payload: Payload
 ) -> dict[tuple[str, str], tuple[float, SparseState]]:
     """Probability and uncorrected target-coin residual for every branch."""
     state = run_walks(spec, payload)
     out: dict[tuple[str, str], tuple[float, SparseState]] = {}
     coins = coin_projectors(spec)
-    for family in families if families is not None else spec.position_families:
-        for pproj in position_projectors(family, mode):
+    for family in spec.position_families:
+        for pproj in position_projectors(family):
             p_pos, residual = project(state, pproj)
             for cproj in coins:
                 p_coin, final = project(residual, cproj)
@@ -387,11 +373,7 @@ class BranchMaps:
         return self.matrix[b * self.dim : (b + 1) * self.dim].toarray()
 
 
-def compile_branch_maps(
-    spec: ProtocolSpec,
-    families: Sequence[PositionFamily] | None = None,
-    mode: str = "hadamard",
-) -> BranchMaps:
+def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
     """Build every branch map with the sparse engine.
 
     Walk steps and projections are linear and the payloads enter only
@@ -403,7 +385,7 @@ def compile_branch_maps(
     basis = np.eye(d)
     columns: dict[tuple[str, str], list[tuple[int, int, complex]]] = {}
     for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
-        finals = branch_finals(spec, Payload(basis[i], basis[j]), families, mode)
+        finals = branch_finals(spec, Payload(basis[i], basis[j]))
         for key, (prob, final) in finals.items():
             scale = math.sqrt(prob)
             columns.setdefault(key, []).extend(
@@ -422,28 +404,16 @@ def compile_branch_maps(
     return BranchMaps(keys, matrix, layout, spec.tol)
 
 
-_MAP_CACHE: dict[tuple, BranchMaps] = {}
-
-
-def branch_maps(
-    spec: ProtocolSpec,
-    families: Sequence[PositionFamily] | None = None,
-    mode: str = "hadamard",
-) -> BranchMaps:
-    """Compiled branch maps, cached per protocol id, layout, tol, families and mode."""
-    families = tuple(spec.position_families if families is None else families)
-    key = (spec.id, spec.layout, spec.tol, families, mode)
-    if key not in _MAP_CACHE:
-        _MAP_CACHE[key] = compile_branch_maps(spec, families, mode)
-    return _MAP_CACHE[key]
+@functools.cache
+def branch_maps(spec: ProtocolSpec) -> BranchMaps:
+    """Compiled branch maps, cached per spec object (see ``get_protocol``)."""
+    return compile_branch_maps(spec)
 
 
 def enumerate_branches(
     spec: ProtocolSpec,
     payload: Payload,
     table: CorrectionTable | None = None,
-    families: Sequence[PositionFamily] | None = None,
-    mode: str = "hadamard",
 ) -> list[BranchResult]:
     """Every (position outcome, coin outcome) branch, corrected and scored.
 
@@ -453,7 +423,7 @@ def enumerate_branches(
     check_payload(spec, payload)
     if table is None:
         table = synthesized_table(spec)
-    maps = branch_maps(spec, families, mode)
+    maps = branch_maps(spec)
     src, sign = table.signed_permutations(maps.keys, maps.layout)
     residuals = (maps.matrix @ np.kron(payload.alice, payload.bob)).reshape(src.shape)
     probs = np.einsum("bi,bi->b", residuals.conj(), residuals).real
@@ -482,11 +452,7 @@ def enumerate_branches(
     ]
 
 
-def synthesize_table(
-    spec: ProtocolSpec,
-    families: Sequence[PositionFamily] | None = None,
-    mode: str = "hadamard",
-) -> CorrectionTable:
+def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:
     """Read every branch's Pauli correction off its compiled map.
 
     With its columns reordered by the swap, a correctable branch map is
@@ -495,7 +461,7 @@ def synthesize_table(
     Raises NoPauliCorrection if a branch map has no such form, which
     signals a malformed projector family.
     """
-    maps = branch_maps(spec, families, mode)
+    maps = branch_maps(spec)
     d = 1 << spec.qubits
     idx = np.arange(maps.dim)
     swap = (idx % d) * d + idx // d
@@ -518,22 +484,10 @@ def synthesize_table(
     return CorrectionTable(spec.id, rows)
 
 
-def generate_family_tables(
-    spec: ProtocolSpec, family: PositionFamily, mode: str = "hadamard"
-) -> CorrectionTable:
-    """Synthesize the correction table for a single position family."""
-    return synthesize_table(spec, [family], mode)
-
-
-_TABLE_CACHE: dict[tuple, CorrectionTable] = {}
-
-
+@functools.cache
 def synthesized_table(spec: ProtocolSpec) -> CorrectionTable:
-    """The full synthesized table for a protocol, cached per id, layout and tol."""
-    key = (spec.id, spec.layout, spec.tol)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = synthesize_table(spec)
-    return _TABLE_CACHE[key]
+    """The synthesized table for a spec, cached per spec object."""
+    return synthesize_table(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -618,5 +572,5 @@ def corrupt_table(
             rows[(pos, coin)] = ops + ((targets[0], "Z"),)
             hit = True
     if not hit:
-        raise KeyError(f"no rows for family {family!r} in table {table.protocol}")
+        raise MissingCorrection(f"no rows for family {family!r} in table {table.protocol}")
     return CorrectionTable(table.protocol, rows)

@@ -16,6 +16,7 @@ boundary instead) would expose any wraparound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -199,28 +200,16 @@ def dense_initial(spec: ProtocolSpec, payload: Payload) -> np.ndarray:
     return out
 
 
-# Both caches are keyed on (protocol id, bound, step index).
-_STEP_CACHE: dict[tuple[str, int, int], sp.csr_matrix] = {}
-_DEFECT_CACHE: dict[tuple[str, int, int], float] = {}
-
-
-def _step_key(spec: ProtocolSpec, step_index: int) -> tuple[str, int, int]:
-    return (spec.id, spec.layout.registers[0].size, step_index)
-
-
+@functools.cache
 def cached_step_matrix(spec: ProtocolSpec, step_index: int) -> sp.csr_matrix:
-    key = _step_key(spec, step_index)
-    if key not in _STEP_CACHE:
-        _STEP_CACHE[key] = step_matrix(spec, step_index)
-    return _STEP_CACHE[key]
+    """``step_matrix``, built once per spec object and step."""
+    return step_matrix(spec, step_index)
 
 
+@functools.cache
 def cached_unitarity_defect(spec: ProtocolSpec, step_index: int) -> float:
-    """``unitarity_defect`` of the cached step matrix, computed once per key."""
-    key = _step_key(spec, step_index)
-    if key not in _DEFECT_CACHE:
-        _DEFECT_CACHE[key] = unitarity_defect(cached_step_matrix(spec, step_index))
-    return _DEFECT_CACHE[key]
+    """``unitarity_defect`` of the cached step matrix, computed once per spec and step."""
+    return unitarity_defect(cached_step_matrix(spec, step_index))
 
 
 def dense_run(spec: ProtocolSpec, payload: Payload, tol: float = 1e-12) -> SparseState:

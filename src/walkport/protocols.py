@@ -14,6 +14,7 @@ a_out, b_in, b_out).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -361,6 +362,17 @@ def _twostep2q(bound: int, tol: float) -> ProtocolSpec:
 
 
 def get_protocol(protocol_id: str, bound: int = DEFAULT_BOUND, tol: float = PRUNE_TOL) -> ProtocolSpec:
+    """The protocol's spec, one shared object per (id, bound, tol).
+
+    Compiled branch maps, tables and oracle matrices are cached on the spec
+    object itself, so every caller asking for one configuration must get
+    the same object.
+    """
+    return _protocol(protocol_id, bound, tol)
+
+
+@functools.cache
+def _protocol(protocol_id: str, bound: int, tol: float) -> ProtocolSpec:
     if protocol_id == "line1q":
         return _line1q(bound, tol, cyclic=False)
     if protocol_id == "cycle1q":

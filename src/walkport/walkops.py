@@ -64,11 +64,6 @@ class ConditionedShift:
             if step not in STEP_SIZES:
                 raise ValueError(f"unsupported step size {step}")
 
-    def inverted(self) -> "ConditionedShift":
-        return ConditionedShift(
-            self.position, self.coins, {k: -v for k, v in self.rule.items()}
-        )
-
 
 def apply_conditioned_shift(state: SparseState, cs: ConditionedShift) -> SparseState:
     layout = state.layout

@@ -1,8 +1,14 @@
+import collections
+import contextlib
+import functools
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from walkport import measure, oracle, protocols
 from walkport.cli import dyadic, main, parse_amplitudes, parse_family_selection
 
 
@@ -269,3 +275,139 @@ def test_equiv_and_oracle_check_read_the_env_seed(tmp_path, warm_tables, monkeyp
         assert run_cli(*verb, "--out", str(env_out)) == 0
         assert run_cli(*verb, "--seed", "4", "--out", str(flag_out)) == 0
         assert env_out.read_bytes() == flag_out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "line1q", "--corrupt-table", "nosuch"),
+        ("equiv", "two-qubit", "--count", "1", "--corrupt-table", "nosuch"),
+        ("equiv", "cycle-line", "--count", "1", "--corrupt-table", "nosuch"),
+    ],
+)
+def test_unknown_corrupt_family_is_a_config_error(argv, warm_tables, capsys):
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("families", ["", ","])
+def test_empty_family_selection_is_a_config_error(families, warm_tables, capsys):
+    assert run_cli("tables", "line1q", "--families", families) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", [("--seed", "3"), ("--count", "5")])
+def test_seed_or_count_with_explicit_payloads_is_a_config_error(flag, capsys):
+    assert run_cli("run", "line1q", "--alice", "1,0", "--bob", "1,0", *flag) == 2
+    assert_one_error_line(capsys)
+
+
+def test_verbs_in_one_process_compile_each_artifact_once(tmp_path, monkeypatch):
+    # A fresh memo gives this test its own spec objects, so artifacts other
+    # tests compiled are not counted.
+    monkeypatch.setattr(protocols, "_protocol", functools.cache(protocols._protocol.__wrapped__))
+    counts = collections.Counter()
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[(name, *key(*args))] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(measure, "compile_branch_maps", lambda spec: (spec.id,))
+    counting(oracle, "step_matrix", lambda spec, k: (spec.id, k))
+    counting(oracle, "unitarity_defect", lambda matrix: ())
+    out = str(tmp_path / "report.json")
+    for _ in range(2):
+        assert run_cli("run", "line1q", "--count", "2", "--out", out) == 0
+        assert run_cli("tables", "line1q", "--out", out) == 0
+        assert run_cli("equiv", "cycle-line", "--count", "2", "--out", out) == 0
+        assert run_cli("oracle-check", "line1q", "--count", "1", "--out", out) == 0
+    assert counts == {
+        ("compile_branch_maps", "line1q"): 1,
+        ("compile_branch_maps", "cycle1q"): 1,
+        **{("step_matrix", "line1q", k): 1 for k in range(4)},
+        ("unitarity_defect",): 4,
+    }
+
+
+FUZZ_OUT = ("file", "dir", "missing")
+
+def valid_or_not(valid, malformed):
+    return st.one_of(valid, st.sampled_from(malformed))
+
+
+FUZZ_VALUES = {
+    "--seed": valid_or_not(st.integers(0, 3), ("-1", "x", "", "1.5", "9" * 30)),
+    "--count": valid_or_not(st.integers(1, 3), ("0", "-1", "x", "")),
+    "--bound": valid_or_not(st.integers(2, 10), ("1", "0", "-1", "x", "2.5")),
+    "--tol": valid_or_not(st.sampled_from(("1e-9", "1e-3", "1e308")), ("0", "-1", "nan", "inf", "x")),
+    "--alice": valid_or_not(st.sampled_from(("1,0", "0.6:0,0:0.8")), ("1,1", "nan,0", "x", "1,0,0,0", "")),
+    "--bob": valid_or_not(st.sampled_from(("0,1", "1.000000001,0", "0:1,0")), ("1e400,0", "", "0,0")),
+    "--families": valid_or_not(st.sampled_from(("00", "02,20", "00..22")), ("22..00", "", ",", "P1", "..")),
+    "--corrupt-table": valid_or_not(st.sampled_from(("00", "02", "02:1", "20", "Q3", "P2")), ("nosuch", "")),
+    "--format": valid_or_not(st.sampled_from(("json", "table-text")), ("xml",)),
+    "--out": valid_or_not(st.sampled_from(("file", "dir")), ("missing",)),
+}
+
+VERB_FLAGS = {
+    "run": ("--seed", "--count", "--bound", "--tol", "--alice", "--bob", "--corrupt-table"),
+    "equiv": ("--seed", "--count", "--corrupt-table"),
+    "tables": ("--bound", "--families"),
+    "oracle-check": ("--seed", "--count"),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A CLI argv for the fast protocols, mostly with the verb's own flags."""
+    verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
+    protocol = st.sampled_from(("line1q", "cycle1q"))
+    argv = [verb]
+    if verb == "equiv":
+        argv.append(draw(st.sampled_from(("two-qubit", "cycle-line"))))
+    elif verb == "oracle-check" or draw(st.booleans()):
+        # oracle-check with no protocol would check all four, the slow two-qubit ones too.
+        argv.append(draw(protocol))
+    else:
+        argv += ["--protocol", draw(protocol)]
+    own = VERB_FLAGS[verb] + ("--format", "--out")
+    flags = draw(st.lists(st.sampled_from(own), max_size=4, unique=True))
+    payload = {"--alice", "--bob"}
+    if len(payload & set(flags)) == 1 and draw(st.booleans()):
+        flags += sorted(payload - set(flags))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_VALUES))))
+    for flag in flags:
+        argv += [flag, str(draw(FUZZ_VALUES[flag]))]
+    if verb == "equiv" and "--count" not in flags:
+        argv += ["--count", "1"]
+    return argv
+
+
+@given(argv=fuzz_argv())
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv, tmp_path, warm_tables):
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    paths = {
+        "file": tmp_path / "report.json",
+        "dir": tmp_path / "dir",
+        "missing": tmp_path / "missing" / "report.json",
+    }
+    argv = [str(paths[a]) if a in FUZZ_OUT else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from walkport import equivalence, measure
-from walkport.errors import MappingIncomplete
-from walkport.protocols import get_protocol, seeded_payloads
+from walkport.errors import MappingIncomplete, NoPauliCorrection
+from walkport.protocols import PositionFamily, get_protocol, seeded_payloads
 
 
 def test_family_size_ledger():
@@ -123,11 +123,30 @@ def test_corner_family_identity_row_matches(warm_tables):
     assert cycle_table.get("22", "++") == ()
 
 
+def _correctable(spec, families):
+    try:
+        measure.synthesize_table(dataclasses.replace(spec, position_families=families))
+    except NoPauliCorrection:
+        return False
+    return True
+
+
 def test_basis_reading_probe():
     # The sign-pattern reading supports Pauli corrections for every family;
-    # measuring raw members destroys all but the origin family.
+    # measuring raw members (each as its own family) destroys all but the
+    # origin family.
     spec = get_protocol("line1q")
-    probe = equivalence.probe_family_basis_readings(spec)
-    assert probe["hadamard"]["families_correctable"] == 4
-    assert probe["computational"]["families_correctable"] == 1
-    assert probe["computational"]["failed_families"] == ["02", "20", "22"]
+    families = spec.position_families
+    assert all(_correctable(spec, (f,)) for f in families)
+    member_by_member = {
+        f.name: _correctable(
+            spec,
+            tuple(
+                PositionFamily(f.outcome_name(r), f.registers, (member,))
+                for r, member in enumerate(f.members)
+            ),
+        )
+        for f in families
+    }
+    assert len(member_by_member) == 4
+    assert [name for name, ok in member_by_member.items() if not ok] == ["02", "20", "22"]

@@ -23,7 +23,6 @@ from walkport.hilbert import (
     cycle,
     inner_product,
     lattice,
-    prune,
     superpose,
 )
 from walkport.protocols import build_initial, get_protocol, random_payload
@@ -171,8 +170,9 @@ def test_prune_keeps_balanced_state():
     w = 0.5
     labels = [(0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 1, 1, 0, 0)]
     s = superpose(LINE, [(l, w) for l in labels])
-    assert len(prune(s)) == 4
-    assert abs(prune(s).norm2() - s.norm2()) < 1e-10
+    pruned = SparseState(s.layout, s.amps, s.tol)
+    assert len(pruned) == 4
+    assert abs(pruned.norm2() - s.norm2()) < 1e-10
 
 
 def test_prune_leaves_generic_walk_state_intact():
@@ -180,7 +180,7 @@ def test_prune_leaves_generic_walk_state_intact():
 
     payload = random_payload(np.random.default_rng(5), 1)
     state = run_walks(get_protocol("line1q"), payload)
-    assert len(prune(state)) == 16
+    assert len(SparseState(state.layout, state.amps, state.tol)) == 16
 
 
 def test_non_finite_amplitude_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,7 +22,6 @@ from walkport.measure import (
     dense_on_targets,
     enumerate_branches,
     expected_output,
-    generate_family_tables,
     pauli_net_classes,
     position_projectors,
     project,
@@ -32,6 +32,7 @@ from walkport.hilbert import SparseState
 from walkport.protocols import (
     PROTOCOL_IDS,
     Payload,
+    PositionFamily,
     get_protocol,
     run_walks,
     seeded_payloads,
@@ -42,6 +43,18 @@ LINE = get_protocol("line1q")
 
 def _family(spec, name):
     return next(f for f in spec.position_families if f.name == name)
+
+
+def _with_families(spec, *families):
+    return dataclasses.replace(spec, position_families=families)
+
+
+def _members(family):
+    """The family's members as singleton families: measuring them one by one."""
+    return tuple(
+        PositionFamily(family.outcome_name(r), family.registers, (member,))
+        for r, member in enumerate(family.members)
+    )
 
 
 def test_project_origin_block_probability_and_residual(payload_1q):
@@ -176,19 +189,26 @@ def test_synthesized_origin_block_rows(warm_tables):
     }
 
 
-def test_generate_family_table_single_family():
-    spec = get_protocol("twostep2q")
-    table = generate_family_tables(spec, _family(spec, "Q3"))
+def test_single_family_spec_table():
+    twostep = get_protocol("twostep2q")
+    spec = _with_families(twostep, _family(twostep, "Q3"))
+    table = synthesize_table(spec)
     assert len(table.rows) == 64
     for payload in seeded_payloads(31, 5, 2):
-        for branch in enumerate_branches(spec, payload, table, [_family(spec, "Q3")]):
+        for branch in enumerate_branches(spec, payload, table):
             assert branch.fidelity >= 1.0 - 1e-9
+
+
+def test_per_family_spec_gets_its_own_table(warm_tables):
+    table = synthesized_table(_with_families(LINE, *LINE.position_families[:1]))
+    assert len(table.rows) == 4
+    assert {pos for pos, _ in table.rows} == {"00"}
 
 
 def test_computational_reading_not_pauli_correctable():
     spec = get_protocol("single2q")
     with pytest.raises(NoPauliCorrection):
-        synthesize_table(spec, [_family(spec, "P1")], mode="computational")
+        synthesize_table(_with_families(spec, *_members(_family(spec, "P1"))))
 
 
 def test_corrupted_table_detected(warm_tables, payload_1q):
@@ -196,7 +216,7 @@ def test_corrupted_table_detected(warm_tables, payload_1q):
     branches = enumerate_branches(LINE, payload_1q, table)
     broken = [b for b in branches if b.position.startswith("02")]
     assert any(b.fidelity < 1.0 - 1e-9 for b in broken)
-    with pytest.raises(KeyError):
+    with pytest.raises(MissingCorrection):
         corrupt_table(synthesized_table(LINE), "zz", LINE.target_coins)
 
 
@@ -273,6 +293,21 @@ def test_caches_are_keyed_on_bound_and_tol(warm_tables):
         table = synthesized_table(spec)
         assert table is not default and table.rows == default.rows
         assert branch_maps(spec) is not branch_maps(LINE)
-    family = [_family(LINE, "00")]
-    assert branch_maps(LINE, family) is not branch_maps(LINE)
-    assert branch_maps(LINE, family, "computational") is not branch_maps(LINE, family)
+    origin = _with_families(LINE, _family(LINE, "00"))
+    assert branch_maps(origin) is not branch_maps(LINE)
+    # Same outcome names, different readings: the maps must differ.
+    members = branch_maps(_with_families(LINE, *_members(_family(LINE, "02"))))
+    signs = branch_maps(_with_families(LINE, _family(LINE, "02")))
+    assert members.keys == signs.keys
+    assert abs(members.matrix - signs.matrix).max() > 0.1
+
+
+def test_get_protocol_is_one_spec_per_configuration():
+    # Every compiled cache keys on the spec object, so equal configurations
+    # must share it (maps and tables of other ones: the test above).
+    assert get_protocol("line1q") is LINE
+    assert get_protocol("line1q", 8) is LINE
+    assert get_protocol("line1q", bound=8, tol=LINE.tol) is LINE
+    assert get_protocol("line1q", bound=4) is get_protocol("line1q", 4)
+    assert get_protocol("line1q", bound=4) is not LINE
+    assert get_protocol("line1q", tol=1e-10) is not LINE

@@ -71,8 +71,15 @@ def test_step_matrices_unitary(pid):
         assert defect == oracle.unitarity_defect(oracle.step_matrix(spec, k))
 
 
-def test_defect_computed_once_per_protocol_bound_and_step(monkeypatch):
-    monkeypatch.setattr(oracle, "_DEFECT_CACHE", {})
+@pytest.fixture
+def fresh_defect_cache():
+    """An empty defect cache, emptied again so no faked defect outlives the test."""
+    oracle.cached_unitarity_defect.cache_clear()
+    yield
+    oracle.cached_unitarity_defect.cache_clear()
+
+
+def test_defect_computed_once_per_protocol_bound_and_step(fresh_defect_cache, monkeypatch):
     calls = []
 
     def counting(matrix):

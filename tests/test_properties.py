@@ -16,7 +16,6 @@ from walkport.hilbert import (
     cycle,
     inner_product,
     lattice,
-    prune,
     superpose,
 )
 from walkport import oracle
@@ -57,7 +56,8 @@ def test_conditioned_shift_preserves_norm_and_inverts(state):
     cs = ConditionedShift("p", ("c",))
     out = apply_conditioned_shift(state, cs)
     assert abs(out.norm2() - state.norm2()) < 1e-10
-    back = apply_conditioned_shift(out, cs.inverted())
+    inverse = ConditionedShift("p", ("c",), {k: -v for k, v in cs.rule.items()})
+    back = apply_conditioned_shift(out, inverse)
     assert back.max_delta(state) < 1e-12
 
 
@@ -101,7 +101,7 @@ def test_serialization_is_deterministic_and_lossless(state):
 
 @given(states_strategy(), st.floats(1e-12, 1e-2))
 def test_prune_norm_change_bounded(state, tol):
-    kept = prune(state, tol)
+    kept = SparseState(state.layout, state.amps, tol)
     dropped = [a for l, a in state.amps.items() if abs(a) < tol]
     assert abs(kept.norm2() + sum(abs(a) ** 2 for a in dropped) - state.norm2()) < 1e-12
     assert all(abs(a) >= tol for a in kept.amps.values())
