@@ -4,7 +4,7 @@ Verbs: ``run`` enumerates and verifies every measurement branch of one
 protocol, ``equiv`` runs the cross-protocol equivalence checks, ``tables``
 emits synthesized correction tables next to the bundled reference ones
 with disagreements flagged, and ``oracle-check`` cross-validates the
-sparse engine against the dense-matrix path.
+sparse engine against the oracle's literal step matrices.
 
 Exit status: 0 on verified success, 1 on verification failure, 2 on a
 configuration error.  Reports are JSON with a top-level ``schema`` field
@@ -173,7 +173,12 @@ def render_text(report: dict, indent: str = "") -> str:
 
 
 def protocol_spec(args):
-    if args.bound < 1:
+    """The spec for ``args.protocol``; sets ``args.bound`` to the default if not given."""
+    if args.bound is None:
+        args.bound = DEFAULT_BOUND
+    elif args.protocol == "cycle1q":
+        raise ConfigError("--bound does not apply to cycle1q: its walkers live on a 4-cycle")
+    elif args.bound < 1:
         raise ConfigError(f"--bound must be positive, got {args.bound}")
     return get_protocol(args.protocol, bound=args.bound)
 
@@ -306,6 +311,10 @@ def parse_family_selection(text: str, available: list[str]) -> list[str]:
 
 
 def cmd_tables(args) -> int:
+    out = args.out
+    to_directory = bool(out) and Path(out).is_dir()
+    if to_directory and args.format == "table-text":
+        raise ConfigError("--format table-text cannot be written to a directory --out")
     spec = protocol_spec(args)
     available = [f.name for f in spec.position_families]
     selected = (
@@ -332,8 +341,7 @@ def cmd_tables(args) -> int:
         "comparison": comparison,
         "ok": True,
     }
-    out = getattr(args, "out", None)
-    if out and Path(out).is_dir():
+    if to_directory:
         base = Path(out)
         for name, data in family_tables.items():
             path = base / f"{spec.id}_{name}.json"
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--count", type=int)
 
     def bound(p):
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+        p.add_argument("--bound", type=int)
 
     def output(p):
         p.add_argument("--out")
@@ -442,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--families", help="e.g. 'P3', 'P1..P15', 'Q2,Q5'")
     p_tables.set_defaults(func=cmd_tables)
 
-    p_oracle = sub.add_parser("oracle-check", help="cross-validate against the dense oracle")
+    p_oracle = sub.add_parser(
+        "oracle-check", help="cross-validate against the literal-matrix oracle"
+    )
     protocol(p_oracle)
     seed_count(p_oracle)
     output(p_oracle)

@@ -5,6 +5,15 @@ class WalkportError(Exception):
     """Base class for all walkport errors."""
 
 
+class InvalidDefinition(WalkportError, ValueError):
+    """A register, layout, shift rule, walk step, measurement family or
+    protocol spec is malformed."""
+
+
+class UnknownProtocol(WalkportError, KeyError):
+    """No protocol has the requested id."""
+
+
 class InvalidLabel(WalkportError):
     """A basis label does not fit its register layout."""
 

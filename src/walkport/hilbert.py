@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EmptyState,
+    InvalidDefinition,
     InvalidLabel,
     LayoutMismatch,
     NotUnitary,
@@ -58,9 +59,9 @@ class Register:
 
     def __post_init__(self) -> None:
         if self.kind not in (LATTICE, CYCLE, COIN):
-            raise ValueError(f"unknown register kind {self.kind!r}")
+            raise InvalidDefinition(f"unknown register kind {self.kind!r}")
         if self.kind in (LATTICE, CYCLE) and self.size < 1:
-            raise ValueError(f"register {self.name!r} needs a positive size")
+            raise InvalidDefinition(f"register {self.name!r} needs a positive size")
 
     @property
     def role(self) -> str:
@@ -108,7 +109,7 @@ class RegisterLayout:
         self.registers = tuple(registers)
         names = [r.name for r in self.registers]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate register names in layout")
+            raise InvalidDefinition("duplicate register names in layout")
         self._index = {r.name: i for i, r in enumerate(self.registers)}
 
     def __len__(self) -> int:
@@ -184,6 +185,28 @@ class SparseState:
         amps: Mapping[Label, complex],
         tol: float = PRUNE_TOL,
     ):
+        self._fill(layout, amps, tol, validate=True)
+
+    @classmethod
+    def _derived(
+        cls, layout: RegisterLayout, amps: Mapping[Label, complex], tol: float
+    ) -> "SparseState":
+        """A state whose labels an engine operation derived from valid labels.
+
+        Prunes and checks amplitudes like the constructor, but skips
+        ``validate_label``: the operation already kept every label in range.
+        """
+        state = cls.__new__(cls)
+        state._fill(layout, amps, tol, validate=False)
+        return state
+
+    def _fill(
+        self,
+        layout: RegisterLayout,
+        amps: Mapping[Label, complex],
+        tol: float,
+        validate: bool,
+    ) -> None:
         kept: dict[Label, complex] = {}
         for label, amp in amps.items():
             amp = complex(amp)
@@ -191,7 +214,7 @@ class SparseState:
                 continue
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"non-finite amplitude at {label}")
-            kept[layout.validate_label(label)] = amp
+            kept[layout.validate_label(label) if validate else label] = amp
         self.layout = layout
         self.tol = tol
         self._amps = kept
@@ -320,4 +343,4 @@ def apply_coin_gate(state: SparseState, register: str, gate: np.ndarray) -> Spar
                 continue
             new_label = label[:idx] + (u,) + label[idx + 1 :]
             amps[new_label] = amps.get(new_label, 0.0 + 0.0j) + w * amp
-    return SparseState(state.layout, amps, state.tol)
+    return SparseState._derived(state.layout, amps, state.tol)

@@ -1,10 +1,13 @@
-"""Independent dense ground truth for the sparse engine.
+"""Independent ground truth for the sparse engine, from literal step matrices.
 
-States become flat complex vectors indexed by a mixed-radix encoding of the
-basis label, and each walk step becomes a literal operator matrix assembled
-with Kronecker products of per-register factors.  Matrices are built with
-scipy.sparse (dense conversion is available for small spaces), applied by
-matrix-vector products, and checked for unitarity as matrices.
+Each walk step becomes a literal operator matrix on the truncated space,
+assembled with scipy.sparse Kronecker products of per-register factors and
+checked for unitarity as a matrix.  A state is indexed by a mixed-radix
+encoding of its basis label.  ``dense_run`` applies the matrices to the
+state's support only: it keeps the sorted flat indices of the nonzero
+amplitudes and their values, and each step gathers the matrix columns of
+those indices.  Its cost follows the support (at most 256 terms here), not
+the dimension of the space (1,679,616 for ``single2q``).
 
 Truncated lattices are embedded cyclically here: the shift factor is the
 cyclic permutation of the 2B+1 lattice values, which keeps every step
@@ -26,7 +29,6 @@ import scipy.sparse as sp
 from .errors import DimensionOverflow
 from .hilbert import COIN, LATTICE, Label, Register, RegisterLayout, SparseState
 from .protocols import Payload, ProtocolSpec, get_protocol
-from .walkops import WalkStep
 
 DIM_CAP = 1 << 26
 
@@ -81,11 +83,20 @@ def densify(state: SparseState, cap: int = DIM_CAP) -> np.ndarray:
     return vec
 
 
-def sparsify(vec: np.ndarray, layout: RegisterLayout, tol: float = 1e-12) -> SparseState:
-    amps: dict[Label, complex] = {}
-    for index in np.flatnonzero(np.abs(vec) >= tol):
-        amps[index_to_label(layout, int(index))] = complex(vec[index])
+def support_state(
+    layout: RegisterLayout, indices: np.ndarray, values: np.ndarray, tol: float
+) -> SparseState:
+    """The state with ``values`` at the flat ``indices`` and zero elsewhere."""
+    amps = {
+        index_to_label(layout, index): value
+        for index, value in zip(indices.tolist(), values.tolist())
+    }
     return SparseState(layout, amps, tol)
+
+
+def sparsify(vec: np.ndarray, layout: RegisterLayout, tol: float = 1e-12) -> SparseState:
+    indices = np.flatnonzero(np.abs(vec) >= tol)
+    return support_state(layout, indices, vec[indices], tol)
 
 
 def oracle_spec(protocol_id: str, bound: int | None = None) -> ProtocolSpec:
@@ -97,22 +108,22 @@ def oracle_spec(protocol_id: str, bound: int | None = None) -> ProtocolSpec:
     return get_protocol(protocol_id, bound)
 
 
-def shift_factor(reg: Register, step: int) -> sp.csr_matrix:
+def shift_factor(reg: Register, step: int) -> sp.csc_matrix:
     """Cyclic permutation moving a position register by ``step``."""
     n = reg.dim
     rows = [(i + step) % n for i in range(n)]
-    return sp.csr_matrix(
+    return sp.csc_matrix(
         (np.ones(n), (rows, np.arange(n))), shape=(n, n), dtype=complex
     )
 
 
-def coin_projector_factor(value: int) -> sp.csr_matrix:
+def coin_projector_factor(value: int) -> sp.csc_matrix:
     mat = np.zeros((2, 2), dtype=complex)
     mat[value, value] = 1.0
-    return sp.csr_matrix(mat)
+    return sp.csc_matrix(mat)
 
 
-def _kron_chain(factors: list[sp.spmatrix | int]) -> sp.csr_matrix:
+def _kron_chain(factors: list[sp.spmatrix | int]) -> sp.csc_matrix:
     """Kronecker product of ``factors``, where an int ``n`` is the n x n identity.
 
     Each run of identities becomes one identity of the product dimension, so
@@ -121,25 +132,25 @@ def _kron_chain(factors: list[sp.spmatrix | int]) -> sp.csr_matrix:
     matrices: list[sp.spmatrix] = []
     for is_identity, run in itertools.groupby(factors, key=lambda f: isinstance(f, int)):
         if is_identity:
-            matrices.append(sp.identity(math.prod(run), dtype=complex, format="csr"))
+            matrices.append(sp.identity(math.prod(run), dtype=complex, format="csc"))
         else:
             matrices.extend(run)
     out = matrices[0]
     for factor in matrices[1:]:
-        out = sp.kron(out, factor, format="csr")
-    return out.tocsr()
+        out = sp.kron(out, factor, format="csc")
+    return out.tocsc()
 
 
 def step_matrix(
     spec: ProtocolSpec, step_index: int, cap: int = DIM_CAP
-) -> sp.csr_matrix:
+) -> sp.csc_matrix:
     """The literal operator matrix of one walk step on the truncated space."""
     check_dim(spec.layout, cap)
-    step: WalkStep = spec.steps[step_index]
-    matrix: sp.csr_matrix | None = None
+    step = spec.steps[step_index]
+    matrix: sp.csc_matrix | None = None
     for register, gate in step.gates:
         factors = [
-            sp.csr_matrix(np.asarray(gate, dtype=complex))
+            sp.csc_matrix(np.asarray(gate, dtype=complex))
             if reg.name == register
             else reg.dim
             for reg in spec.layout
@@ -147,7 +158,7 @@ def step_matrix(
         term = _kron_chain(factors)
         matrix = term if matrix is None else term @ matrix
     for cs in step.shifts:
-        total: sp.csr_matrix | None = None
+        total: sp.csc_matrix | None = None
         for outcome in itertools.product((0, 1), repeat=len(cs.coins)):
             step_size = cs.rule[outcome]
             factors = []
@@ -164,7 +175,7 @@ def step_matrix(
             total = term if total is None else total + term
         matrix = total if matrix is None else total @ matrix
     assert matrix is not None
-    return matrix.tocsr()
+    return matrix.tocsc()
 
 
 def unitarity_defect(matrix: sp.spmatrix) -> float:
@@ -174,8 +185,13 @@ def unitarity_defect(matrix: sp.spmatrix) -> float:
     return float(np.abs(deviation.data).max()) if deviation.nnz else 0.0
 
 
-def dense_initial(spec: ProtocolSpec, payload: Payload) -> np.ndarray:
-    """Initial product state assembled directly with numpy Kronecker products."""
+def initial_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flat indices of the initial state's nonzero amplitudes, and the amplitudes.
+
+    The initial product state is the left-to-right Kronecker product of one
+    factor per register (one per payload vector for each party's input
+    coins), taken over each factor's nonzero entries only.
+    """
     factors: list[np.ndarray] = []
     consumed: set[str] = set()
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -194,14 +210,39 @@ def dense_initial(spec: ProtocolSpec, payload: Payload) -> np.ndarray:
             vec = np.zeros(reg.dim, dtype=complex)
             vec[value_index(reg, 0)] = 1.0
             factors.append(vec)
-    out = factors[0]
-    for factor in factors[1:]:
-        out = np.kron(out, factor)
-    return out
+    first, *rest = factors
+    indices = np.flatnonzero(first)
+    values = first[indices]
+    for factor in rest:
+        nonzero = np.flatnonzero(factor)
+        indices = (indices[:, None] * len(factor) + nonzero).ravel()
+        values = (values[:, None] * factor[nonzero]).ravel()
+    return indices, values
+
+
+def apply_to_support(
+    matrix: sp.csc_matrix, indices: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix @ x`` for the x that holds ``values`` at the sorted ``indices``.
+
+    Gathers the matrix columns at ``indices`` and sums each output row over
+    them in ascending column order, starting from zero, so the cost follows
+    the support, not the dimension.  That is the order of a CSR mat-vec
+    over the whole space; with real matrix entries, as every step matrix
+    has, the products round the same too, so the amplitudes are
+    bitwise-equal to it.  Returns the sorted output rows and their
+    amplitudes, exact zeros included.
+    """
+    columns = matrix[:, indices]
+    products = columns.data * np.repeat(values, np.diff(columns.indptr))
+    rows, slots = np.unique(columns.indices, return_inverse=True)
+    out = np.zeros(len(rows), dtype=complex)
+    np.add.at(out, slots, products)
+    return rows, out
 
 
 @functools.cache
-def cached_step_matrix(spec: ProtocolSpec, step_index: int) -> sp.csr_matrix:
+def cached_step_matrix(spec: ProtocolSpec, step_index: int) -> sp.csc_matrix:
     """``step_matrix``, built once per spec object and step."""
     return step_matrix(spec, step_index)
 
@@ -213,8 +254,9 @@ def cached_unitarity_defect(spec: ProtocolSpec, step_index: int) -> float:
 
 
 def dense_run(spec: ProtocolSpec, payload: Payload, tol: float = 1e-12) -> SparseState:
-    """Pre-measurement state computed entirely on the dense path."""
-    vec = dense_initial(spec, payload)
+    """Pre-measurement state from the literal step matrices, evolved on its support."""
+    indices, values = initial_support(spec, payload)
     for k in range(len(spec.steps)):
-        vec = cached_step_matrix(spec, k) @ vec
-    return sparsify(vec, spec.layout, tol)
+        indices, values = apply_to_support(cached_step_matrix(spec, k), indices, values)
+    keep = np.abs(values) >= tol
+    return support_state(spec.layout, indices[keep], values[keep], tol)

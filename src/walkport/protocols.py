@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, ShapeMismatch
+from .errors import InvalidDefinition, NotNormalized, ShapeMismatch, UnknownProtocol
 from .hilbert import (
     HADAMARD,
     PRUNE_TOL,
@@ -107,10 +107,10 @@ class PositionFamily:
 
     def __post_init__(self) -> None:
         if tuple(sorted(self.members)) != self.members:
-            raise ValueError(f"family {self.name!r} members must be sorted")
+            raise InvalidDefinition(f"family {self.name!r} members must be sorted")
         m = len(self.members)
         if m == 0 or m & (m - 1):
-            raise ValueError(f"family {self.name!r} size must be a power of two")
+            raise InvalidDefinition(f"family {self.name!r} size must be a power of two")
 
     @property
     def outcome_count(self) -> int:
@@ -142,9 +142,9 @@ class ProtocolSpec:
 
     def __post_init__(self) -> None:
         if len(self.steps) != 4:
-            raise ValueError("a protocol has exactly four walk steps")
+            raise InvalidDefinition("a protocol has exactly four walk steps")
         if set(self.target_coins) & set(self.measured_coins):
-            raise ValueError("target coins must be disjoint from measured coins")
+            raise InvalidDefinition("target coins must be disjoint from measured coins")
 
 
 def _pattern_values_pair(bit: int) -> tuple[int, ...]:
@@ -381,7 +381,7 @@ def _protocol(protocol_id: str, bound: int, tol: float) -> ProtocolSpec:
         return _single2q(bound, tol)
     if protocol_id == "twostep2q":
         return _twostep2q(bound, tol)
-    raise KeyError(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
+    raise UnknownProtocol(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
 
 
 def check_payload(spec: ProtocolSpec, payload: Payload) -> None:

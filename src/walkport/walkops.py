@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import OutOfBounds, WrongRegisterKind
+from .errors import InvalidDefinition, OutOfBounds, WrongRegisterKind
 from .hilbert import COIN, CYCLE, LATTICE, Label, Register, SparseState, apply_coin_gate
 
 STEP_SIZES = (-2, -1, 1, 2)
@@ -57,12 +57,12 @@ class ConditionedShift:
     def __post_init__(self) -> None:
         outcomes = set(itertools.product((0, 1), repeat=len(self.coins)))
         if set(self.rule) != outcomes:
-            raise ValueError(
+            raise InvalidDefinition(
                 f"rule for {self.position!r} must cover every outcome of {self.coins}"
             )
         for step in self.rule.values():
             if step not in STEP_SIZES:
-                raise ValueError(f"unsupported step size {step}")
+                raise InvalidDefinition(f"unsupported step size {step}")
 
 
 def apply_conditioned_shift(state: SparseState, cs: ConditionedShift) -> SparseState:
@@ -78,7 +78,7 @@ def apply_conditioned_shift(state: SparseState, cs: ConditionedShift) -> SparseS
         moved = shift_value(reg, label[pos], step)
         new_label = label[:pos] + (moved,) + label[pos + 1 :]
         amps[new_label] = amps.get(new_label, 0.0 + 0.0j) + amp
-    return SparseState(layout, amps, state.tol)
+    return SparseState._derived(layout, amps, state.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +91,7 @@ class WalkStep:
     def __post_init__(self) -> None:
         positions = [s.position for s in self.shifts]
         if len(set(positions)) != len(positions):
-            raise ValueError("shifts within a step must target distinct registers")
+            raise InvalidDefinition("shifts within a step must target distinct registers")
 
 
 def apply_walk_step(state: SparseState, step: WalkStep) -> SparseState:

@@ -202,6 +202,31 @@ def test_non_positive_bound_is_a_config_error(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "cycle1q", "--bound", "5"),
+        ("run", "cycle1q", "--bound", "8"),
+        ("tables", "cycle1q", "--bound", "5"),
+    ],
+)
+def test_bound_on_cycle1q_is_a_config_error(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys)
+
+
+def test_cycle1q_report_keeps_the_default_bound(tmp_path, warm_tables):
+    out = tmp_path / "report.json"
+    assert run_cli("run", "cycle1q", "--out", str(out)) == 0
+    assert read_json(out)["bound"] == protocols.DEFAULT_BOUND
+
+
+def test_table_text_to_a_directory_is_a_config_error(tmp_path, capsys):
+    assert run_cli("tables", "line1q", "--format", "table-text", "--out", str(tmp_path)) == 2
+    assert_one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_is_a_config_error(tmp_path, warm_tables, capsys):
     out = tmp_path / "missing" / "report.json"
     assert run_cli("run", "line1q", "--out", str(out)) == 2

@@ -1,0 +1,34 @@
+import dataclasses
+
+import pytest
+
+from walkport.errors import WalkportError
+from walkport.hilbert import Register, RegisterLayout, coin
+from walkport.protocols import PositionFamily, get_protocol
+from walkport.walkops import ConditionedShift, WalkStep
+
+LINE = get_protocol("line1q")
+
+MALFORMED = {
+    "register kind": lambda: Register("r", "spiral"),
+    "register size": lambda: Register("r", "lattice", 0),
+    "duplicate register": lambda: RegisterLayout([coin("x"), coin("x")]),
+    "unsorted family": lambda: PositionFamily("f", ("p",), ((1,), (0,))),
+    "family size": lambda: PositionFamily("f", ("p",), ((0,), (1,), (2,))),
+    "step count": lambda: dataclasses.replace(LINE, steps=LINE.steps[:3]),
+    "measured target": lambda: dataclasses.replace(LINE, target_coins=LINE.measured_coins),
+    "partial rule": lambda: ConditionedShift("p", ("c",), {(0,): 1}),
+    "step size": lambda: ConditionedShift("p", ("c",), {(0,): 1, (1,): 3}),
+    "shared shift target": lambda: WalkStep(
+        shifts=(ConditionedShift("p", ("a",)), ConditionedShift("p", ("b",)))
+    ),
+    "unknown protocol": lambda: get_protocol("hexwalk"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_definitions_raise_walkport_errors(case):
+    # Still ValueError or KeyError too, so library callers catching those keep working.
+    with pytest.raises(WalkportError) as err:
+        MALFORMED[case]()
+    assert isinstance(err.value, (ValueError, KeyError))

@@ -25,7 +25,13 @@ from walkport.hilbert import (
     lattice,
     superpose,
 )
-from walkport.protocols import build_initial, get_protocol, random_payload
+from walkport.protocols import (
+    PROTOCOL_IDS,
+    build_initial,
+    get_protocol,
+    random_payload,
+    walk_states,
+)
 
 LINE = get_protocol("line1q").layout
 CYC = get_protocol("cycle1q").layout
@@ -181,6 +187,21 @@ def test_prune_leaves_generic_walk_state_intact():
     payload = random_payload(np.random.default_rng(5), 1)
     state = run_walks(get_protocol("line1q"), payload)
     assert len(SparseState(state.layout, state.amps, state.tol)) == 16
+
+
+def test_public_constructor_validates_labels():
+    with pytest.raises(InvalidLabel):
+        SparseState(LINE, {(0, 0, 0, 0, 0, 2): 1.0})
+    with pytest.raises(InvalidLabel):
+        SparseState(LINE, {(0, 0, 0): 1.0})
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_engine_stores_python_complex_amplitudes(pid):
+    spec = get_protocol(pid)
+    for state in walk_states(spec, random_payload(np.random.default_rng(8), spec.qubits)):
+        assert all(type(amp) is complex for amp in state.amps.values())
+        json.dumps(state.to_json_dict())
 
 
 def test_non_finite_amplitude_rejected():

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +8,7 @@ import scipy.sparse as sp
 import chains
 from walkport import oracle
 from walkport.errors import DimensionOverflow
-from walkport.hilbert import RegisterLayout, lattice
+from walkport.hilbert import COIN, RegisterLayout, lattice
 from walkport.protocols import (
     PROTOCOL_IDS,
     build_initial,
@@ -101,9 +104,9 @@ def _plain_kron_chain(factors):
     out = None
     for factor in factors:
         if isinstance(factor, int):
-            factor = sp.identity(factor, dtype=complex, format="csr")
-        out = factor if out is None else sp.kron(out, factor, format="csr")
-    return out.tocsr()
+            factor = sp.identity(factor, dtype=complex, format="csc")
+        out = factor if out is None else sp.kron(out, factor, format="csc")
+    return out.tocsc()
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
@@ -113,6 +116,7 @@ def test_step_matrix_bitwise_equal_to_plain_kron_chain(pid, monkeypatch):
     monkeypatch.setattr(oracle, "_kron_chain", _plain_kron_chain)
     for k, matrix in enumerate(built):
         reference = oracle.step_matrix(spec, k)
+        assert matrix.format == reference.format == "csc"
         for name in ("indptr", "indices", "data"):
             got, want = getattr(matrix, name), getattr(reference, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -134,6 +138,75 @@ def test_dense_matrix_form_for_small_spaces():
     big = oracle.oracle_spec("single2q")
     with pytest.raises(DimensionOverflow):
         step_matrix_dense(big, 0)
+
+
+def dense_initial(spec, payload) -> np.ndarray:
+    """Initial product state assembled directly with numpy Kronecker products."""
+    factors: list[np.ndarray] = []
+    consumed: set[str] = set()
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    for reg in spec.layout:
+        if reg.name in consumed:
+            continue
+        if reg.name in (spec.alice_coins[0], spec.bob_coins[0]):
+            alice_side = reg.name == spec.alice_coins[0]
+            factors.append(np.asarray(payload.alice if alice_side else payload.bob))
+            consumed.update(spec.alice_coins if alice_side else spec.bob_coins)
+        elif reg.name in spec.plus_coins:
+            factors.append(plus)
+        elif reg.kind == COIN:
+            factors.append(np.array([1.0, 0.0], dtype=complex))
+        else:
+            vec = np.zeros(reg.dim, dtype=complex)
+            vec[oracle.value_index(reg, 0)] = 1.0
+            factors.append(vec)
+    out = factors[0]
+    for factor in factors[1:]:
+        out = np.kron(out, factor)
+    return out
+
+
+def _bits(amp: complex) -> bytes:
+    return struct.pack("<dd", amp.real, amp.imag)
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_support_run_bitwise_equal_to_dense_evolution(pid):
+    # The reference is the dense evolution: the full initial vector, one CSR
+    # mat-vec over every row per step, then sparsify.
+    spec = oracle.oracle_spec(pid)
+    csr = [oracle.cached_step_matrix(spec, k).tocsr() for k in range(4)]
+    for payload in seeded_payloads(21, 5, spec.qubits):
+        vec = dense_initial(spec, payload)
+        indices, values = oracle.initial_support(spec, payload)
+        assert np.array_equal(indices, np.flatnonzero(vec))
+        assert [_bits(v) for v in values.tolist()] == [_bits(v) for v in vec[indices].tolist()]
+        for matrix in csr:
+            vec = matrix @ vec
+        want = oracle.sparsify(vec, spec.layout)
+        got = oracle.dense_run(spec, payload)
+        assert list(got.amps) == list(want.amps)
+        assert all(type(amp) is complex for amp in got.amps.values())
+        assert [_bits(a) for a in got.amps.values()] == [_bits(a) for a in want.amps.values()]
+
+
+def test_apply_to_support_sums_like_a_dense_mat_vec():
+    # No walk step sends two support terms to one row, so this gives every
+    # row several terms, which makes the summation order visible in the bits.
+    # The entries are real like every step matrix's: numpy's vectorized
+    # complex product may round differently from scipy's for complex entries.
+    rng = np.random.default_rng(12)
+    dense = rng.standard_normal((60, 80)).astype(complex)
+    dense[rng.random((60, 80)) < 0.7] = 0.0
+    matrix = sp.csc_matrix(dense)
+    indices = np.sort(rng.choice(80, size=30, replace=False))
+    values = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    vec = np.zeros(80, dtype=complex)
+    vec[indices] = values
+    want = matrix.tocsr() @ vec
+    rows, got = oracle.apply_to_support(matrix, indices, values)
+    assert np.array_equal(rows, np.flatnonzero(want))
+    assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want[rows].tolist()]
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
