@@ -80,6 +80,42 @@ def phase_aligned_delta(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(u - phase[:, None] * v).max(axis=1)
 
 
+def mapped_table_mismatches(outcome_pairs, left, right) -> list[dict]:
+    """Mapped table rows whose Pauli strings reduce to different net classes.
+
+    ``left`` and ``right`` are (name, table, target coins); rows pair up by
+    outcome pair and coin.  Tables hold far fewer distinct Pauli strings
+    than rows, so each string is reduced once per call.
+    """
+    (lname, ltable, ltargets), (rname, rtable, rtargets) = left, right
+    net: dict = {}
+
+    def classes(ops, targets):
+        if (ops, targets) not in net:
+            net[ops, targets] = pauli_net_classes(ops, targets)
+        return net[ops, targets]
+
+    coins = sorted({c for _, c in ltable.rows})
+    mismatches = []
+    for lout, rout in outcome_pairs:
+        for coin in coins:
+            lops = ltable.rows.get((lout, coin))
+            rops = rtable.rows.get((rout, coin))
+            if lops is None or rops is None:
+                raise MappingIncomplete(f"table row missing for ({lout}, {rout}, {coin})")
+            if classes(lops, ltargets) != classes(rops, rtargets):
+                mismatches.append(
+                    {
+                        f"{lname}_outcome": lout,
+                        f"{rname}_outcome": rout,
+                        "coin": coin,
+                        f"{lname}_pauli": [list(p) for p in lops],
+                        f"{rname}_pauli": [list(p) for p in rops],
+                    }
+                )
+    return mismatches
+
+
 def check_two_qubit_equivalence(
     payloads: list[Payload],
     mapping: BasisMapping | None = None,
@@ -96,25 +132,11 @@ def check_two_qubit_equivalence(
     table_s = single_table if single_table is not None else synthesized_table(single)
     table_t = twostep_table if twostep_table is not None else synthesized_table(twostep)
 
-    table_mismatches = []
-    for src, dst in outcome_pairs:
-        for coin in sorted({c for _, c in table_s.rows}):
-            ops_s = table_s.rows.get((src, coin))
-            ops_t = table_t.rows.get((dst, coin))
-            if ops_s is None or ops_t is None:
-                raise MappingIncomplete(f"table row missing for ({src}, {dst}, {coin})")
-            if pauli_net_classes(ops_s, single.target_coins) != pauli_net_classes(
-                ops_t, twostep.target_coins
-            ):
-                table_mismatches.append(
-                    {
-                        "single_outcome": src,
-                        "twostep_outcome": dst,
-                        "coin": coin,
-                        "single_pauli": [list(p) for p in ops_s],
-                        "twostep_pauli": [list(p) for p in ops_t],
-                    }
-                )
+    table_mismatches = mapped_table_mismatches(
+        outcome_pairs,
+        ("single", table_s, single.target_coins),
+        ("twostep", table_t, twostep.target_coins),
+    )
 
     max_dp = 0.0
     max_ds = 0.0
@@ -202,23 +224,11 @@ def check_cycle_line_equivalence(
     table_line = synthesized_table(line)
     table_cycle = cycle_table if cycle_table is not None else synthesized_table(cyc)
 
-    table_mismatches = []
-    for line_outcome, cycle_outcome in CYCLE_LINE_FAMILY_MAP:
-        for coin in sorted({c for _, c in table_line.rows}):
-            ops_l = table_line.rows[(line_outcome, coin)]
-            ops_c = table_cycle.rows[(cycle_outcome, coin)]
-            if pauli_net_classes(ops_l, line.target_coins) != pauli_net_classes(
-                ops_c, cyc.target_coins
-            ):
-                table_mismatches.append(
-                    {
-                        "line_outcome": line_outcome,
-                        "cycle_outcome": cycle_outcome,
-                        "coin": coin,
-                        "line_pauli": [list(p) for p in ops_l],
-                        "cycle_pauli": [list(p) for p in ops_c],
-                    }
-                )
+    table_mismatches = mapped_table_mismatches(
+        CYCLE_LINE_FAMILY_MAP,
+        ("line", table_line, line.target_coins),
+        ("cycle", table_cycle, cyc.target_coins),
+    )
 
     max_ds = 0.0
     state_mismatches = []

@@ -14,6 +14,14 @@ class UnknownProtocol(WalkportError, KeyError):
     """No protocol has the requested id."""
 
 
+class NonFiniteAmplitude(WalkportError, ValueError):
+    """A state amplitude is NaN or infinite."""
+
+
+class UnknownPauliOp(WalkportError, ValueError):
+    """A Pauli string names an op other than I, X, Z or ZX."""
+
+
 class InvalidLabel(WalkportError):
     """A basis label does not fit its register layout."""
 

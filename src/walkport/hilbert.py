@@ -22,6 +22,7 @@ from .errors import (
     InvalidDefinition,
     InvalidLabel,
     LayoutMismatch,
+    NonFiniteAmplitude,
     NotUnitary,
     UnknownRegister,
     WrongRegisterKind,
@@ -213,7 +214,7 @@ class SparseState:
             if abs(amp) < tol:
                 continue
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ValueError(f"non-finite amplitude at {label}")
+                raise NonFiniteAmplitude(f"non-finite amplitude at {label}")
             kept[layout.validate_label(label) if validate else label] = amp
         self.layout = layout
         self.tol = tol

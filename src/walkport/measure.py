@@ -31,7 +31,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import MalformedProjector, MissingCorrection, NoPauliCorrection
+from .errors import (
+    MalformedProjector,
+    MissingCorrection,
+    NoPauliCorrection,
+    UnknownPauliOp,
+)
 from .hilbert import Label, RegisterLayout, SparseState
 from .protocols import (
     Payload,
@@ -256,7 +261,7 @@ def apply_pauli_string(
                 label = label[:idx] + (1 - bit,) + label[idx + 1 :]
                 amp = -amp if 1 - bit else amp
             elif op != "I":
-                raise ValueError(f"unknown Pauli op {op!r}")
+                raise UnknownPauliOp(f"unknown Pauli op {op!r}")
             out[label] = amp
         amps = out
     return SparseState(state.layout, amps, state.tol)

@@ -3,13 +3,16 @@ import contextlib
 import functools
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from walkport import measure, oracle, protocols
+from walkport import cli, measure, oracle, protocols
 from walkport.cli import dyadic, main, parse_amplitudes, parse_family_selection
+from walkport.errors import NoPauliCorrection
 
 
 def run_cli(*argv):
@@ -436,3 +439,118 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv, tmp_path, warm_table
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+def reference_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def checked_writer(monkeypatch):
+    """Every text the CLI's report writer returns, each checked against json.dumps."""
+    texts = []
+    writer = cli.report_text
+
+    def checked(obj):
+        text = writer(obj)
+        assert text == reference_text(obj)
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "report_text", checked)
+    return texts
+
+
+WRITER_ARGV = [
+    *(("run", pid, "--seed", "3") for pid in protocols.PROTOCOL_IDS),
+    *(("tables", pid) for pid in protocols.PROTOCOL_IDS),
+    *(("oracle-check", pid, "--count", "1") for pid in protocols.PROTOCOL_IDS),
+    ("equiv", "two-qubit", "--count", "1"),
+    ("equiv", "cycle-line", "--count", "2"),
+    ("run", "line1q", "--corrupt-table", "20"),
+    ("run", "single2q", "--corrupt-table", "P1"),
+    ("equiv", "two-qubit", "--count", "1", "--corrupt-table", "Q3"),
+    ("equiv", "cycle-line", "--count", "1", "--corrupt-table", "00"),
+    ("run", "line1q", "--alice", "0.6:0,0:0.8", "--bob", "1.000000001,0"),
+    ("run", "single2q", "--alice", "0.5,0.5,0.5,0.5", "--bob", "0,0:1,0,0"),
+]
+
+
+@pytest.mark.parametrize("argv", WRITER_ARGV)
+def test_report_writer_matches_json_dumps(argv, tmp_path, warm_tables, checked_writer):
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--out", str(out)) in (0, 1)
+    assert checked_writer == [out.read_text()]
+
+
+def test_report_writer_writes_every_table_file(tmp_path, warm_tables, checked_writer):
+    assert run_cli("tables", "single2q", "--out", str(tmp_path)) == 0
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 17
+    assert sorted(checked_writer) == sorted(f.read_text() for f in files)
+
+
+TRICKY_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\%/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=6,
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    TRICKY_TEXT,
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TRICKY_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(tree=st.lists(JSON_TREES, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_report_writer_matches_json_dumps_on_any_tree(tree):
+    # Repeated subtrees exercise the per-call templates and float texts.
+    doc = {"trees": tree, "again": tree, "nested": {"": {}, "%s": [[], {}]}}
+    assert cli.report_text(doc) == reference_text(doc)
+
+
+@pytest.mark.parametrize("bad", [{1: "a"}, {"a": [{"b": 0, None: 1}]}, {"a": {("t",): 0}}])
+def test_report_writer_rejects_non_str_keys(bad):
+    with pytest.raises(TypeError):
+        cli.report_text(bad)
+
+
+def test_dyadic_runs_once_per_distinct_probability(tmp_path, warm_tables, monkeypatch):
+    calls = collections.Counter()
+
+    def counting(p):
+        calls[p] += 1
+        return dyadic(p)
+
+    monkeypatch.setattr(cli, "dyadic", counting)
+    out = tmp_path / "report.json"
+    assert run_cli("run", "single2q", "--seed", "5", "--count", "2", "--out", str(out)) == 0
+    branches = [b for p in read_json(out)["payloads"] for b in p["branches"]]
+    assert len(branches) == 2 * 1296
+    assert all(b["probability_dyadic"] == dyadic(b["probability"]) for b in branches)
+    assert set(calls) == {b["probability"] for b in branches}
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("argv", [("run", "line1q"), ("tables", "cycle1q")])
+def test_failed_correction_claim_exits_1(argv, monkeypatch, capsys):
+    def no_correction(spec):
+        raise NoPauliCorrection(f"no Pauli string corrects branch ('00', '++') of {spec.id}")
+
+    monkeypatch.setattr(measure, "synthesized_table", no_correction)
+    assert run_cli(*argv) == 1
+    assert_one_error_line(capsys)

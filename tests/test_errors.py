@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from walkport.errors import WalkportError
-from walkport.hilbert import Register, RegisterLayout, coin
+from walkport.errors import NonFiniteAmplitude, UnknownPauliOp, WalkportError
+from walkport.hilbert import Register, RegisterLayout, SparseState, coin
+from walkport.measure import apply_pauli_string
 from walkport.protocols import PositionFamily, get_protocol
 from walkport.walkops import ConditionedShift, WalkStep
 
@@ -32,3 +33,18 @@ def test_malformed_definitions_raise_walkport_errors(case):
     with pytest.raises(WalkportError) as err:
         MALFORMED[case]()
     assert isinstance(err.value, (ValueError, KeyError))
+
+
+COIN = RegisterLayout([coin("c")])
+
+
+def test_non_finite_amplitude_is_a_walkport_error():
+    with pytest.raises(NonFiniteAmplitude) as err:
+        SparseState(COIN, {(0,): complex("nan")})
+    assert isinstance(err.value, WalkportError) and isinstance(err.value, ValueError)
+
+
+def test_unknown_pauli_op_is_a_walkport_error():
+    with pytest.raises(UnknownPauliOp) as err:
+        apply_pauli_string(SparseState(COIN, {(0,): 1.0}), [("c", "Y")])
+    assert isinstance(err.value, WalkportError) and isinstance(err.value, ValueError)
