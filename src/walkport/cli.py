@@ -78,6 +78,20 @@ def dyadic(p: float, tol: float = 1e-9, max_power: int = 20) -> str | None:
     return None
 
 
+def payload_norm(vec: np.ndarray) -> float:
+    """The 2-norm, without overflow or underflow warnings.
+
+    ``np.linalg.norm`` sums squares, which overflow above about 1e154 and
+    lose everything below about 1e-154; ``math.hypot`` scales and covers
+    those norms.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if 1e-150 < norm < 1e150:
+        return norm
+    return math.hypot(*vec.real.tolist(), *vec.imag.tolist())
+
+
 def explicit_payload(args, qubits: int) -> tuple[Payload, list[str]]:
     warnings = []
     vectors = {}
@@ -87,7 +101,7 @@ def explicit_payload(args, qubits: int) -> tuple[Payload, list[str]]:
             raise ConfigError(
                 f"--{name} needs {2 ** qubits} amplitudes for this protocol"
             )
-        norm = float(np.linalg.norm(vec))
+        norm = payload_norm(vec)
         if abs(norm - 1.0) > 1e-8:
             raise ConfigError(f"--{name} has norm {norm!r}, not within 1e-8 of 1")
         if abs(norm - 1.0) > 1e-10:
@@ -266,10 +280,13 @@ def cmd_run(args) -> int:
     ok = True
     for index, payload in enumerate(payloads):
         branches = measure.enumerate_branches(spec, payload, table)
-        for p in {b.probability for b in branches} - dyadics.keys():
+        probs = branches.probabilities.tolist()
+        fids = branches.fidelities.tolist()
+        vacs = branches.vacuous.tolist()
+        for p in set(probs) - dyadics.keys():
             dyadics[p] = dyadic(p)
-        prob_sum = sum(b.probability for b in branches)
-        fid_ok = all(b.vacuous or b.fidelity >= 1.0 - tol for b in branches)
+        prob_sum = sum(probs)
+        fid_ok = all(v or f >= 1.0 - tol for f, v in zip(fids, vacs))
         sum_ok = abs(prob_sum - 1.0) <= tol
         ok = ok and fid_ok and sum_ok
         payload_reports.append(
@@ -279,14 +296,14 @@ def cmd_run(args) -> int:
                 "fidelities_ok": fid_ok,
                 "branches": [
                     {
-                        "position": b.position,
-                        "coin": b.coin,
-                        "probability": b.probability,
-                        "probability_dyadic": dyadics[b.probability],
-                        "fidelity": b.fidelity,
-                        "vacuous": b.vacuous,
+                        "position": position,
+                        "coin": coin,
+                        "probability": p,
+                        "probability_dyadic": dyadics[p],
+                        "fidelity": f,
+                        "vacuous": v,
                     }
-                    for b in branches
+                    for (position, coin), p, f, v in zip(branches.keys, probs, fids, vacs)
                 ],
             }
         )
@@ -527,11 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "protocol_flag", None):
-        args.protocol = args.protocol_flag
-    if args.command in ("run", "tables") and not args.protocol:
+    flag = getattr(args, "protocol_flag", None)
+    if args.command in ("run", "tables") and not (args.protocol or flag):
         parser.error(f"{args.command} needs a protocol")
     try:
+        if flag:
+            if args.protocol not in (None, flag):
+                raise ConfigError(f"protocol {args.protocol} contradicts --protocol {flag}")
+            args.protocol = flag
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

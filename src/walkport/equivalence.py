@@ -9,6 +9,7 @@ table row, and the checks report deltas rather than trusting structure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import MappingIncomplete
 from .hilbert import Label, SparseState
 from .measure import (
+    branch_maps,
     enumerate_branches,
     pauli_net_classes,
     project,
@@ -116,6 +118,28 @@ def mapped_table_mismatches(outcome_pairs, left, right) -> list[dict]:
     return mismatches
 
 
+@functools.cache
+def mapped_branch_rows(
+    single: ProtocolSpec, twostep: ProtocolSpec, mapping: BasisMapping
+) -> tuple[list[tuple[str, str, str]], np.ndarray, np.ndarray]:
+    """The mapped branch pairs as (single outcome, twostep outcome, coin) names
+    and the two row-index arrays into each protocol's branches.
+
+    Pairs run over the mapping's outcome pairs, then the coins in sorted
+    order.  Cached per (spec, spec, mapping).
+    """
+    rows_s = {key: b for b, key in enumerate(branch_maps(single).keys)}
+    rows_t = {key: b for b, key in enumerate(branch_maps(twostep).keys)}
+    coins = sorted({coin for _, coin in rows_s})
+    names = [(src, dst, coin) for src, dst in mapping.outcome_pairs() for coin in coins]
+    try:
+        si = np.array([rows_s[src, coin] for src, _, coin in names], dtype=int)
+        ti = np.array([rows_t[dst, coin] for _, dst, coin in names], dtype=int)
+    except KeyError as exc:
+        raise MappingIncomplete(f"no branch {exc.args[0]} for the mapping") from None
+    return names, si, ti
+
+
 def check_two_qubit_equivalence(
     payloads: list[Payload],
     mapping: BasisMapping | None = None,
@@ -138,51 +162,34 @@ def check_two_qubit_equivalence(
         ("twostep", table_t, twostep.target_coins),
     )
 
+    names, si, ti = mapped_branch_rows(single, twostep, mapping)
     max_dp = 0.0
     max_ds = 0.0
     branch_mismatches = []
-    compared = 0
     for index, payload in enumerate(payloads):
-        bs = {
-            (b.position, b.coin): b
-            for b in enumerate_branches(single, payload, table_s)
-        }
-        bt = {
-            (b.position, b.coin): b
-            for b in enumerate_branches(twostep, payload, table_t)
-        }
-        coins = sorted({c for _, c in bs})
-        pairs = [
-            (src, dst, coin, bs[(src, coin)], bt[(dst, coin)])
-            for src, dst in outcome_pairs
-            for coin in coins
-        ]
-        dps = [abs(u.probability - v.probability) for *_, u, v in pairs]
-        dss = phase_aligned_delta(
-            np.array([u.vector for *_, u, _ in pairs]),
-            np.array([v.vector for *_, v in pairs]),
-        ).tolist()
-        for (src, dst, coin, u, v), dp, ds in zip(pairs, dps, dss):
-            if u.vacuous and v.vacuous:
-                ds = 0.0
-            compared += 1
-            max_dp = max(max_dp, dp)
-            max_ds = max(max_ds, ds)
-            if dp > tol or ds > tol:
-                branch_mismatches.append(
-                    {
-                        "payload": index,
-                        "single_outcome": src,
-                        "twostep_outcome": dst,
-                        "coin": coin,
-                        "probability_delta": dp,
-                        "state_delta": ds,
-                    }
-                )
+        bs = enumerate_branches(single, payload, table_s)
+        bt = enumerate_branches(twostep, payload, table_t)
+        dp = np.abs(bs.probabilities[si] - bt.probabilities[ti])
+        ds = phase_aligned_delta(bs.vectors[si], bt.vectors[ti])
+        ds[bs.vacuous[si] & bt.vacuous[ti]] = 0.0
+        max_dp = float(dp.max(initial=max_dp))
+        max_ds = float(ds.max(initial=max_ds))
+        for k in np.flatnonzero((dp > tol) | (ds > tol)).tolist():
+            src, dst, coin = names[k]
+            branch_mismatches.append(
+                {
+                    "payload": index,
+                    "single_outcome": src,
+                    "twostep_outcome": dst,
+                    "coin": coin,
+                    "probability_delta": float(dp[k]),
+                    "state_delta": float(ds[k]),
+                }
+            )
     return {
         "claim": "two-qubit single-step and two-step protocols are equivalent",
         "payloads": len(payloads),
-        "branches_compared": compared,
+        "branches_compared": len(payloads) * len(names),
         "max_probability_delta": max_dp,
         "max_state_delta": max_ds,
         "branch_mismatches": branch_mismatches,

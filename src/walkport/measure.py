@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -201,20 +201,12 @@ class CorrectionTable:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rows for ``keys`` as ``corrected[b] = sign[b] * residual[b][src[b]]``.
 
-        Each row is applied by apply_pauli_string to a probe state on the
-        target coins whose amplitude at basis index i is i + 1, which shows
-        where every entry moves and with which sign.  Cached on the table.
+        Cached on the table; each distinct row is probed once per process
+        (``pauli_probe``).
         """
         cache_key = (keys, layout)
         if cache_key not in self._permutations:
-            labels = itertools.product((0, 1), repeat=len(layout))
-            probe = SparseState(layout, {label: i + 1.0 for i, label in enumerate(labels)})
-            moved = np.array(
-                [
-                    dense_on_targets(apply_pauli_string(probe, self.get(*key))).real
-                    for key in keys
-                ]
-            )
+            moved = np.array([pauli_probe(self.get(*key), layout) for key in keys])
             self._permutations[cache_key] = (np.abs(moved).astype(int) - 1, np.sign(moved))
         return self._permutations[cache_key]
 
@@ -265,6 +257,22 @@ def apply_pauli_string(
             out[label] = amp
         amps = out
     return SparseState(state.layout, amps, state.tol)
+
+
+@functools.cache
+def pauli_probe(ops: tuple[tuple[str, str], ...], layout: RegisterLayout) -> np.ndarray:
+    """Where a Pauli string moves each basis entry of ``layout``, and with which sign.
+
+    The string is applied by apply_pauli_string to a probe state whose
+    amplitude at basis index i is i + 1; entry j of the result is
+    ``sign * (src + 1)`` for the entry that lands on j.  Read-only, cached
+    per distinct string: a two-qubit table repeats 256 strings over 1,296 rows.
+    """
+    labels = itertools.product((0, 1), repeat=len(layout))
+    probe = SparseState(layout, {label: i + 1.0 for i, label in enumerate(labels)})
+    moved = dense_on_targets(apply_pauli_string(probe, ops)).real
+    moved.flags.writeable = False
+    return moved
 
 
 def pauli_net_classes(
@@ -323,7 +331,6 @@ class BranchResult:
     vector: np.ndarray
     fidelity: float
     vacuous: bool
-    targets: tuple[str, ...]
     layout: RegisterLayout
     tol: float
 
@@ -332,6 +339,37 @@ class BranchResult:
         """``vector`` as a sparse state on the target-coin layout."""
         labels = itertools.product((0, 1), repeat=len(self.layout))
         return SparseState(self.layout, dict(zip(labels, self.vector.tolist())), self.tol)
+
+
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """Every branch of one payload, scored, as columns indexed like ``keys``.
+
+    ``vectors`` holds one renormalized corrected residual per row (see
+    BranchResult).  Iterating yields BranchResult rows built on demand.
+    """
+
+    keys: tuple[tuple[str, str], ...]
+    probabilities: np.ndarray
+    fidelities: np.ndarray
+    vacuous: np.ndarray
+    vectors: np.ndarray
+    layout: RegisterLayout
+    tol: float
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[BranchResult]:
+        columns = zip(
+            self.keys,
+            self.probabilities.tolist(),
+            self.vectors,
+            self.fidelities.tolist(),
+            self.vacuous.tolist(),
+        )
+        for (position, coin), prob, vector, fidelity, vac in columns:
+            yield BranchResult(position, coin, prob, vector, fidelity, vac, self.layout, self.tol)
 
 
 def branch_finals(
@@ -419,7 +457,7 @@ def enumerate_branches(
     spec: ProtocolSpec,
     payload: Payload,
     table: CorrectionTable | None = None,
-) -> list[BranchResult]:
+) -> Branches:
     """Every (position outcome, coin outcome) branch, corrected and scored.
 
     One product of the compiled maps with ``alice ⊗ bob`` gives every
@@ -439,22 +477,7 @@ def enumerate_branches(
     vectors = np.where(vacuous[:, None], residuals, corrected) * scale[:, None]
     overlaps = vectors @ expected_output_dense(spec, payload).conj()
     fidelities = np.where(vacuous, 0.0, np.abs(overlaps) ** 2)
-    return [
-        BranchResult(
-            position=pos_name,
-            coin=coin_name,
-            probability=prob,
-            vector=vector,
-            fidelity=fidelity,
-            vacuous=vac,
-            targets=spec.target_coins,
-            layout=maps.layout,
-            tol=maps.tol,
-        )
-        for (pos_name, coin_name), prob, vector, fidelity, vac in zip(
-            maps.keys, probs.tolist(), vectors, fidelities.tolist(), vacuous.tolist()
-        )
-    ]
+    return Branches(maps.keys, probs, fidelities, vacuous, vectors, maps.layout, maps.tol)
 
 
 def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:
@@ -538,15 +561,14 @@ def compare_tables(
     achieves = dict.fromkeys(differing, True)
     if differing:
         patched = CorrectionTable(spec.id, {**synth.rows, **reference.rows})
+        rows = [branch_maps(spec).keys.index(key) for key in differing]
         for payload in payloads:
-            for branch in enumerate_branches(spec, payload, patched):
-                key = (branch.position, branch.coin)
-                if (
-                    key in achieves
-                    and not branch.vacuous
-                    and branch.fidelity < 1.0 - BRANCH_FIDELITY_TOL
-                ):
-                    achieves[key] = False
+            branches = enumerate_branches(spec, payload, patched)
+            failed = ~branches.vacuous[rows] & (
+                branches.fidelities[rows] < 1.0 - BRANCH_FIDELITY_TOL
+            )
+            for key in itertools.compress(differing, failed.tolist()):
+                achieves[key] = False
     mismatches = [
         {
             "position": key[0],

@@ -114,6 +114,34 @@ def test_renormalization_warning(tmp_path, warm_tables):
     assert any("renormalized" in w for w in report["warnings"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "alice, norm",
+    [
+        ("1e200,1e200", "1.414213562373095e+200"),
+        ("1e-170,1e-170", "1.414213562373095e-170"),
+        ("0:1e-170,1e-170", "1.414213562373095e-170"),
+        ("1.7e308,1.7e308", "inf"),
+    ],
+)
+def test_extreme_payload_norm_is_one_error_line(alice, norm, capsys):
+    # Squares of these amplitudes overflow or underflow; the norm must not.
+    assert run_cli("run", "line1q", "--alice", alice, "--bob", "1,0") == 2
+    assert capsys.readouterr().err == f"error: --alice has norm {norm}, not within 1e-8 of 1\n"
+
+
+@pytest.mark.parametrize("verb", ["run", "tables", "oracle-check"])
+def test_positional_protocol_contradicting_the_flag_is_a_config_error(
+    verb, tmp_path, warm_tables, capsys
+):
+    out = tmp_path / "report.json"
+    assert run_cli(verb, "line1q", "--protocol", "cycle1q", "--out", str(out)) == 2
+    assert_one_error_line(capsys)
+    assert not out.exists()
+    assert run_cli(verb, "cycle1q", "--protocol", "cycle1q", "--out", str(out)) == 0
+    assert read_json(out)["protocol" if verb != "oracle-check" else "checks"]
+
+
 def test_equiv_two_qubit(tmp_path, warm_tables):
     out = tmp_path / "report.json"
     assert run_cli("equiv", "two-qubit", "--seed", "1", "--count", "2", "--out", str(out)) == 0

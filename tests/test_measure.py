@@ -286,6 +286,56 @@ def test_map_path_agrees_with_sparse_engine(warm_tables, pid):
             assert np.abs(branch.vector - reference).max() <= 1e-12
 
 
+def test_branch_rows_equal_the_columns(warm_tables):
+    # Measuring the members one by one leaves half the basis payload's
+    # branches vacuous, so the vacuous column is exercised too.
+    spec = _with_families(LINE, *_members(_family(LINE, "02")))
+    keys = branch_maps(spec).keys
+    table = CorrectionTable("line1q", dict.fromkeys(keys, ()))
+    basis = Payload(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    cases = [(spec, basis, table)] + [
+        (get_protocol(pid), payload, None)
+        for pid in ("line1q", "single2q")
+        for payload in seeded_payloads(62, 2, get_protocol(pid).qubits)
+    ]
+    for pspec, payload, ptable in cases:
+        branches = enumerate_branches(pspec, payload, ptable)
+        assert isinstance(branches, measure.Branches)
+        rows = list(branches)
+        assert len(branches) == len(rows) == len(branches.keys)
+        assert sum(b.vacuous for b in branches) == int(branches.vacuous.sum())
+        for b, row in enumerate(rows):
+            assert (row.position, row.coin) == branches.keys[b]
+            assert row.probability == branches.probabilities[b]
+            assert row.fidelity == branches.fidelities[b]
+            assert row.vacuous == branches.vacuous[b]
+            assert np.array_equal(row.vector, branches.vectors[b])
+            assert (row.layout, row.tol) == (branches.layout, branches.tol)
+            assert type(row.probability) is float and type(row.vacuous) is bool
+    assert int(enumerate_branches(spec, basis, table).vacuous.sum()) == 4
+
+
+def test_pauli_probe_runs_once_per_distinct_string(warm_tables, monkeypatch):
+    # A fresh table instance re-derives its permutations but probes no
+    # string already probed in this process.
+    spec = get_protocol("single2q")
+    maps = branch_maps(spec)
+    rows = synthesized_table(spec).rows
+    fresh = CorrectionTable(spec.id, dict(rows))
+    fresh.signed_permutations(maps.keys, maps.layout)
+    probes = []
+    monkeypatch.setattr(
+        measure, "apply_pauli_string", lambda *a: probes.append(a) or apply_pauli_string(*a)
+    )
+    again = CorrectionTable(spec.id, dict(rows))
+    src, _ = again.signed_permutations(maps.keys, maps.layout)
+    assert probes == []
+    assert np.array_equal(src, fresh.signed_permutations(maps.keys, maps.layout)[0])
+    assert len(set(rows.values())) == 256
+    with pytest.raises(ValueError):
+        measure.pauli_probe(rows[maps.keys[0]], maps.layout)[0] = 0.0
+
+
 def test_caches_are_keyed_on_bound_and_tol(warm_tables):
     default = synthesized_table(LINE)
     assert synthesized_table(get_protocol("line1q")) is default
