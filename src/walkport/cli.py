@@ -68,12 +68,16 @@ def parse_amplitudes(text: str) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def dyadic(p: float, tol: float = 1e-9, max_power: int = 20) -> str | None:
-    """Nearest small dyadic rational as a string, if one is within tol."""
-    for power in range(max_power + 1):
+DYADIC_TOL = 1e-9
+DYADIC_MAX_POWER = 20
+
+
+def dyadic(p: float) -> str | None:
+    """Nearest small dyadic rational (denominator at most 2**20) as a string, if within 1e-9."""
+    for power in range(DYADIC_MAX_POWER + 1):
         denom = 1 << power
         num = round(p * denom)
-        if abs(p - num / denom) <= tol:
+        if abs(p - num / denom) <= DYADIC_TOL:
             return str(Fraction(num, denom))
     return None
 
@@ -328,34 +332,19 @@ def cmd_run(args) -> int:
 
 def cmd_equiv(args) -> int:
     seed, count = resolve_seed_count(args, default_count=25)
+    kwargs = {}
     if args.claim == "two-qubit":
         payloads = seeded_payloads(seed, count, 2)
-        corrupted = None
-        kwargs = {}
         if args.corrupt_table is not None:
-            family = args.corrupt_table
-            if family.startswith("Q"):
-                spec = get_protocol("twostep2q")
-                kwargs["twostep_table"] = measure.corrupt_table(
-                    measure.synthesized_table(spec), family, spec.target_coins
-                )
+            if args.corrupt_table.startswith("Q"):
+                kwargs["twostep_table"] = protocol_table(args, get_protocol("twostep2q"))
             else:
-                spec = get_protocol("single2q")
-                kwargs["single_table"] = measure.corrupt_table(
-                    measure.synthesized_table(spec), family, spec.target_coins
-                )
-            corrupted = family
+                kwargs["single_table"] = protocol_table(args, get_protocol("single2q"))
         core = equivalence.check_two_qubit_equivalence(payloads, **kwargs)
     elif args.claim == "cycle-line":
         payloads = seeded_payloads(seed, count, 1)
-        corrupted = None
-        kwargs = {}
         if args.corrupt_table is not None:
-            spec = get_protocol("cycle1q")
-            kwargs["cycle_table"] = measure.corrupt_table(
-                measure.synthesized_table(spec), args.corrupt_table, spec.target_coins
-            )
-            corrupted = args.corrupt_table
+            kwargs["cycle_table"] = protocol_table(args, get_protocol("cycle1q"))
         core = equivalence.check_cycle_line_equivalence(payloads, **kwargs)
     else:
         raise ConfigError(f"unknown claim {args.claim!r}")
@@ -365,7 +354,7 @@ def cmd_equiv(args) -> int:
         "claim": args.claim,
         "seed": seed,
         "count": len(payloads),
-        "corrupted_family": corrupted,
+        "corrupted_family": args.corrupt_table,
         **core,
     }
     emit(report, args)
@@ -453,13 +442,7 @@ def cmd_oracle_check(args) -> int:
         max_delta = 0.0
         for payload in seeded_payloads(seed, count, spec.qubits):
             dense = oracle.dense_run(ospec, payload)
-            sparse = run_walks(spec, payload)
-            keys = set(dense.amps) | set(sparse.amps)
-            delta = max(
-                (abs(dense.amplitude(k) - sparse.amplitude(k)) for k in keys),
-                default=0.0,
-            )
-            max_delta = max(max_delta, delta)
+            max_delta = max(max_delta, dense.max_delta(run_walks(spec, payload)))
         protocol_ok = max(defects) < ORACLE_TOL and max_delta < ORACLE_TOL
         ok = ok and protocol_ok
         checks.append(

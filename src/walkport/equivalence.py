@@ -220,11 +220,7 @@ def reduce_mod4(state: SparseState, cycle_layout) -> SparseState:
     return SparseState(cycle_layout, amps, state.tol)
 
 
-def check_cycle_line_equivalence(
-    payloads: list[Payload],
-    tol: float = EQUIV_TOL,
-    cycle_table=None,
-) -> dict:
+def check_cycle_line_equivalence(payloads: list[Payload], cycle_table=None) -> dict:
     """Line state mod 4 vs cycle state, plus the mapped table rows."""
     line = get_protocol("line1q")
     cyc = get_protocol("cycle1q")
@@ -245,7 +241,7 @@ def check_cycle_line_equivalence(
         cycle_state = run_walks(cyc, payload)
         delta = reduce_mod4(line_state, cyc.layout).max_delta(cycle_state)
         max_ds = max(max_ds, delta)
-        if delta > tol:
+        if delta > EQUIV_TOL:
             state_mismatches.append({"payload": index, "state_delta": delta})
         if index == 0:
             spot_checks.append(_origin_residual_spot_check(cyc, cycle_state, payload))

@@ -533,11 +533,7 @@ def bundled_table(protocol_id: str) -> CorrectionTable:
     return CorrectionTable.from_json_dict(json.loads(path.read_text()))
 
 
-def compare_tables(
-    spec: ProtocolSpec,
-    reference: CorrectionTable,
-    payloads: Sequence[Payload] | None = None,
-) -> dict:
+def compare_tables(spec: ProtocolSpec, reference: CorrectionTable) -> dict:
     """Row-by-row comparison of a reference table against the synthesized one.
 
     Reports net-Pauli mismatches (with whether the reference row still
@@ -545,8 +541,6 @@ def compare_tables(
     families it covers, and rows it lists that the plan does not contain.
     """
     synth = synthesized_table(spec)
-    if payloads is None:
-        payloads = seeded_payloads(COMPARE_SEED, 3, spec.qubits)
     covered_positions = sorted({pos for pos, _ in reference.rows})
     expected_keys = [k for k in sorted(synth.rows) if k[0] in covered_positions]
     missing = [list(k) for k in expected_keys if k not in reference.rows]
@@ -562,7 +556,7 @@ def compare_tables(
     if differing:
         patched = CorrectionTable(spec.id, {**synth.rows, **reference.rows})
         rows = [branch_maps(spec).keys.index(key) for key in differing]
-        for payload in payloads:
+        for payload in seeded_payloads(COMPARE_SEED, 3, spec.qubits):
             branches = enumerate_branches(spec, payload, patched)
             failed = ~branches.vacuous[rows] & (
                 branches.fidelities[rows] < 1.0 - BRANCH_FIDELITY_TOL

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionOverflow
-from .hilbert import COIN, LATTICE, Label, Register, RegisterLayout, SparseState
+from .hilbert import COIN, LATTICE, PRUNE_TOL, Label, Register, RegisterLayout, SparseState
 from .protocols import Payload, ProtocolSpec, get_protocol
 
 DIM_CAP = 1 << 26
@@ -44,10 +44,10 @@ def layout_dim(layout: RegisterLayout) -> int:
     return dim
 
 
-def check_dim(layout: RegisterLayout, cap: int = DIM_CAP) -> int:
+def check_dim(layout: RegisterLayout) -> int:
     dim = layout_dim(layout)
-    if dim > cap:
-        raise DimensionOverflow(f"dense dimension {dim} exceeds cap {cap}")
+    if dim > DIM_CAP:
+        raise DimensionOverflow(f"dense dimension {dim} exceeds cap {DIM_CAP}")
     return dim
 
 
@@ -75,8 +75,8 @@ def index_to_label(layout: RegisterLayout, index: int) -> Label:
     return tuple(reversed(values))
 
 
-def densify(state: SparseState, cap: int = DIM_CAP) -> np.ndarray:
-    dim = check_dim(state.layout, cap)
+def densify(state: SparseState) -> np.ndarray:
+    dim = check_dim(state.layout)
     vec = np.zeros(dim, dtype=complex)
     for label, amp in state.amps.items():
         vec[label_to_index(state.layout, label)] = amp
@@ -141,11 +141,9 @@ def _kron_chain(factors: list[sp.spmatrix | int]) -> sp.csc_matrix:
     return out.tocsc()
 
 
-def step_matrix(
-    spec: ProtocolSpec, step_index: int, cap: int = DIM_CAP
-) -> sp.csc_matrix:
+def step_matrix(spec: ProtocolSpec, step_index: int) -> sp.csc_matrix:
     """The literal operator matrix of one walk step on the truncated space."""
-    check_dim(spec.layout, cap)
+    check_dim(spec.layout)
     step = spec.steps[step_index]
     matrix: sp.csc_matrix | None = None
     for register, gate in step.gates:
@@ -253,10 +251,10 @@ def cached_unitarity_defect(spec: ProtocolSpec, step_index: int) -> float:
     return unitarity_defect(cached_step_matrix(spec, step_index))
 
 
-def dense_run(spec: ProtocolSpec, payload: Payload, tol: float = 1e-12) -> SparseState:
+def dense_run(spec: ProtocolSpec, payload: Payload) -> SparseState:
     """Pre-measurement state from the literal step matrices, evolved on its support."""
     indices, values = initial_support(spec, payload)
     for k in range(len(spec.steps)):
         indices, values = apply_to_support(cached_step_matrix(spec, k), indices, values)
-    keep = np.abs(values) >= tol
-    return support_state(spec.layout, indices[keep], values[keep], tol)
+    keep = np.abs(values) >= PRUNE_TOL
+    return support_state(spec.layout, indices[keep], values[keep], PRUNE_TOL)

@@ -10,6 +10,10 @@ coins that end up holding the state teleported to her.
 Layout order follows the ket convention used throughout: positions first,
 then Alice's coins, then Bob's (``line1q``/``cycle1q``: a_pos, b_pos, a_in,
 a_out, b_in, b_out).
+
+One template, ``_walk_protocol``, builds all four specs.  They differ only
+in payload qubits, walkers per party (one per coin, or one moved by two
+coins), line or 4-cycle, and how the support is tiled into families.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +37,13 @@ from .hilbert import (
     cycle,
     lattice,
 )
-from .walkops import ConditionedShift, WalkStep, apply_walk_step, two_coin_shift_rule
+from .walkops import (
+    ConditionedShift,
+    WalkStep,
+    apply_walk_step,
+    single_coin_shift_rule,
+    two_coin_shift_rule,
+)
 
 DEFAULT_BOUND = 8
 
@@ -214,149 +225,62 @@ def _twostep2q_families(regs: tuple[str, str]) -> tuple[PositionFamily, ...]:
     return tuple(families)
 
 
-def _line1q(bound: int, tol: float, cyclic: bool) -> ProtocolSpec:
-    pos = (cycle("a_pos", 4), cycle("b_pos", 4)) if cyclic else (
-        lattice("a_pos", bound),
-        lattice("b_pos", bound),
-    )
-    layout = RegisterLayout(
-        pos + (coin("a_in"), coin("a_out"), coin("b_in"), coin("b_out"))
-    )
-    gates = {name: ((name, HADAMARD),) for name in ("a_out", "b_out")}
-    steps = (
-        WalkStep(shifts=(ConditionedShift("a_pos", ("a_in",)),)),
-        WalkStep(shifts=(ConditionedShift("b_pos", ("b_in",)),)),
-        WalkStep(
-            gates=() if cyclic else gates["a_out"],
-            shifts=(ConditionedShift("b_pos", ("a_out",)),),
-        ),
-        WalkStep(
-            gates=() if cyclic else gates["b_out"],
-            shifts=(ConditionedShift("a_pos", ("b_out",)),),
-        ),
-    )
-    pos_names = ("a_pos", "b_pos")
-    return ProtocolSpec(
-        id="cycle1q" if cyclic else "line1q",
-        layout=layout,
-        steps=steps,
-        alice_coins=("a_in",),
-        bob_coins=("b_in",),
-        plus_coins=("a_out", "b_out") if cyclic else (),
-        measured_positions=pos_names,
-        measured_coins=("a_in", "b_in"),
-        target_coins=("a_out", "b_out"),
-        position_families=_cycle1q_families(pos_names)
-        if cyclic
-        else _line1q_families(pos_names),
-        qubits=1,
-        tol=tol,
-    )
+def _walk_protocol(
+    pid: str,
+    qubits: int,
+    walkers_per_party: int,
+    families: Callable[[tuple[str, ...]], tuple[PositionFamily, ...]],
+    bound: int,
+    tol: float,
+    cyclic: bool,
+) -> ProtocolSpec:
+    """The paper's four-step scheme for one choice of walkers and coins.
 
+    Each party's input coins move its own walkers, then each party's output
+    coins, after a Hadamard, move the other party's walkers.  A walker moved
+    by two coins jumps by the two-coin rule.  On the 4-cycle the output
+    coins start in |+> instead of getting the Hadamard.
+    """
 
-def _single2q(bound: int, tol: float) -> ProtocolSpec:
-    layout = RegisterLayout(
-        (
-            lattice("a_pos0", bound),
-            lattice("a_pos1", bound),
-            lattice("b_pos0", bound),
-            lattice("b_pos1", bound),
-            coin("a_in0"),
-            coin("a_in1"),
-            coin("a_out0"),
-            coin("a_out1"),
-            coin("b_in0"),
-            coin("b_in1"),
-            coin("b_out0"),
-            coin("b_out1"),
-        )
-    )
-    steps = (
-        WalkStep(
-            shifts=(
-                ConditionedShift("a_pos0", ("a_in0",)),
-                ConditionedShift("a_pos1", ("a_in1",)),
-            )
-        ),
-        WalkStep(
-            shifts=(
-                ConditionedShift("b_pos0", ("b_in0",)),
-                ConditionedShift("b_pos1", ("b_in1",)),
-            )
-        ),
-        WalkStep(
-            gates=(("a_out0", HADAMARD), ("a_out1", HADAMARD)),
-            shifts=(
-                ConditionedShift("b_pos0", ("a_out0",)),
-                ConditionedShift("b_pos1", ("a_out1",)),
+    def names(role: str, count: int) -> tuple[str, ...]:
+        return (role,) if count == 1 else tuple(f"{role}{k}" for k in range(count))
+
+    pos = {p: names(f"{p}_pos", walkers_per_party) for p in "ab"}
+    ins = {p: names(f"{p}_in", qubits) for p in "ab"}
+    outs = {p: names(f"{p}_out", qubits) for p in "ab"}
+    per_walker = qubits // walkers_per_party
+    rule = single_coin_shift_rule if per_walker == 1 else two_coin_shift_rule
+
+    def step(coins: tuple[str, ...], walkers: tuple[str, ...], hadamard: bool) -> WalkStep:
+        return WalkStep(
+            gates=tuple((c, HADAMARD) for c in coins) if hadamard else (),
+            shifts=tuple(
+                ConditionedShift(w, coins[k * per_walker : (k + 1) * per_walker], rule())
+                for k, w in enumerate(walkers)
             ),
-        ),
-        WalkStep(
-            gates=(("b_out0", HADAMARD), ("b_out1", HADAMARD)),
-            shifts=(
-                ConditionedShift("a_pos0", ("b_out0",)),
-                ConditionedShift("a_pos1", ("b_out1",)),
-            ),
-        ),
-    )
-    pos_names = ("a_pos0", "a_pos1", "b_pos0", "b_pos1")
-    return ProtocolSpec(
-        id="single2q",
-        layout=layout,
-        steps=steps,
-        alice_coins=("a_in0", "a_in1"),
-        bob_coins=("b_in0", "b_in1"),
-        plus_coins=(),
-        measured_positions=pos_names,
-        measured_coins=("a_in0", "a_in1", "b_in0", "b_in1"),
-        target_coins=("a_out0", "a_out1", "b_out0", "b_out1"),
-        position_families=_single2q_families(pos_names),
-        qubits=2,
-        tol=tol,
-    )
-
-
-def _twostep2q(bound: int, tol: float) -> ProtocolSpec:
-    layout = RegisterLayout(
-        (
-            lattice("a_pos", bound),
-            lattice("b_pos", bound),
-            coin("a_in0"),
-            coin("a_in1"),
-            coin("a_out0"),
-            coin("a_out1"),
-            coin("b_in0"),
-            coin("b_in1"),
-            coin("b_out0"),
-            coin("b_out1"),
         )
-    )
-    rule = two_coin_shift_rule()
-    steps = (
-        WalkStep(shifts=(ConditionedShift("a_pos", ("a_in0", "a_in1"), rule),)),
-        WalkStep(shifts=(ConditionedShift("b_pos", ("b_in0", "b_in1"), rule),)),
-        WalkStep(
-            gates=(("a_out0", HADAMARD), ("a_out1", HADAMARD)),
-            shifts=(ConditionedShift("b_pos", ("a_out0", "a_out1"), rule),),
-        ),
-        WalkStep(
-            gates=(("b_out0", HADAMARD), ("b_out1", HADAMARD)),
-            shifts=(ConditionedShift("a_pos", ("b_out0", "b_out1"), rule),),
-        ),
-    )
-    pos_names = ("a_pos", "b_pos")
+
+    pos_names = pos["a"] + pos["b"]
     return ProtocolSpec(
-        id="twostep2q",
-        layout=layout,
-        steps=steps,
-        alice_coins=("a_in0", "a_in1"),
-        bob_coins=("b_in0", "b_in1"),
-        plus_coins=(),
+        id=pid,
+        layout=RegisterLayout(
+            tuple(cycle(p, 4) if cyclic else lattice(p, bound) for p in pos_names)
+            + tuple(coin(c) for c in ins["a"] + outs["a"] + ins["b"] + outs["b"])
+        ),
+        steps=(
+            step(ins["a"], pos["a"], False),
+            step(ins["b"], pos["b"], False),
+            step(outs["a"], pos["b"], not cyclic),
+            step(outs["b"], pos["a"], not cyclic),
+        ),
+        alice_coins=ins["a"],
+        bob_coins=ins["b"],
+        plus_coins=outs["a"] + outs["b"] if cyclic else (),
         measured_positions=pos_names,
-        measured_coins=("a_in0", "a_in1", "b_in0", "b_in1"),
-        target_coins=("a_out0", "a_out1", "b_out0", "b_out1"),
-        position_families=_twostep2q_families(pos_names),
-        qubits=2,
+        measured_coins=ins["a"] + ins["b"],
+        target_coins=outs["a"] + outs["b"],
+        position_families=families(pos_names),
+        qubits=qubits,
         tol=tol,
     )
 
@@ -371,17 +295,21 @@ def get_protocol(protocol_id: str, bound: int = DEFAULT_BOUND, tol: float = PRUN
     return _protocol(protocol_id, bound, tol)
 
 
+# Per protocol: qubits, walkers per party, measurement families, cyclic.
+_TEMPLATE_ARGS = {
+    "line1q": (1, 1, _line1q_families, False),
+    "cycle1q": (1, 1, _cycle1q_families, True),
+    "single2q": (2, 2, _single2q_families, False),
+    "twostep2q": (2, 1, _twostep2q_families, False),
+}
+
+
 @functools.cache
 def _protocol(protocol_id: str, bound: int, tol: float) -> ProtocolSpec:
-    if protocol_id == "line1q":
-        return _line1q(bound, tol, cyclic=False)
-    if protocol_id == "cycle1q":
-        return _line1q(bound, tol, cyclic=True)
-    if protocol_id == "single2q":
-        return _single2q(bound, tol)
-    if protocol_id == "twostep2q":
-        return _twostep2q(bound, tol)
-    raise UnknownProtocol(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
+    if protocol_id not in _TEMPLATE_ARGS:
+        raise UnknownProtocol(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
+    qubits, walkers, families, cyclic = _TEMPLATE_ARGS[protocol_id]
+    return _walk_protocol(protocol_id, qubits, walkers, families, bound, tol, cyclic)
 
 
 def check_payload(spec: ProtocolSpec, payload: Payload) -> None:

@@ -3,6 +3,7 @@ import pytest
 
 import chains
 from walkport.errors import NotNormalized, ShapeMismatch
+from walkport.hilbert import HADAMARD
 from walkport.protocols import (
     PROTOCOL_IDS,
     Payload,
@@ -15,6 +16,80 @@ from walkport.protocols import (
 )
 
 EXPECTED_FAMILY_SIZES = (2, 2, 4, 2, 4, 4, 8, 2, 4, 4, 8, 4, 8, 8, 16)
+
+# Jump size per control-coin outcome: nearest-neighbour and next-nearest.
+ONE_COIN = {(0,): 1, (1,): -1}
+TWO_COIN = {(0, 0): 2, (0, 1): 1, (1, 0): -1, (1, 1): -2}
+
+# Per protocol: layout register names, then per step its Hadamard-gated
+# registers and its shifts as (position, control coins, rule).
+EXPECTED_TEMPLATE = {
+    "line1q": (
+        ("a_pos", "b_pos", "a_in", "a_out", "b_in", "b_out"),
+        (
+            ((), (("a_pos", ("a_in",), ONE_COIN),)),
+            ((), (("b_pos", ("b_in",), ONE_COIN),)),
+            (("a_out",), (("b_pos", ("a_out",), ONE_COIN),)),
+            (("b_out",), (("a_pos", ("b_out",), ONE_COIN),)),
+        ),
+    ),
+    "cycle1q": (
+        ("a_pos", "b_pos", "a_in", "a_out", "b_in", "b_out"),
+        (
+            ((), (("a_pos", ("a_in",), ONE_COIN),)),
+            ((), (("b_pos", ("b_in",), ONE_COIN),)),
+            ((), (("b_pos", ("a_out",), ONE_COIN),)),
+            ((), (("a_pos", ("b_out",), ONE_COIN),)),
+        ),
+    ),
+    "single2q": (
+        (
+            "a_pos0", "a_pos1", "b_pos0", "b_pos1",
+            "a_in0", "a_in1", "a_out0", "a_out1", "b_in0", "b_in1", "b_out0", "b_out1",
+        ),
+        (
+            ((), (("a_pos0", ("a_in0",), ONE_COIN), ("a_pos1", ("a_in1",), ONE_COIN))),
+            ((), (("b_pos0", ("b_in0",), ONE_COIN), ("b_pos1", ("b_in1",), ONE_COIN))),
+            (
+                ("a_out0", "a_out1"),
+                (("b_pos0", ("a_out0",), ONE_COIN), ("b_pos1", ("a_out1",), ONE_COIN)),
+            ),
+            (
+                ("b_out0", "b_out1"),
+                (("a_pos0", ("b_out0",), ONE_COIN), ("a_pos1", ("b_out1",), ONE_COIN)),
+            ),
+        ),
+    ),
+    "twostep2q": (
+        (
+            "a_pos", "b_pos",
+            "a_in0", "a_in1", "a_out0", "a_out1", "b_in0", "b_in1", "b_out0", "b_out1",
+        ),
+        (
+            ((), (("a_pos", ("a_in0", "a_in1"), TWO_COIN),)),
+            ((), (("b_pos", ("b_in0", "b_in1"), TWO_COIN),)),
+            (("a_out0", "a_out1"), (("b_pos", ("a_out0", "a_out1"), TWO_COIN),)),
+            (("b_out0", "b_out1"), (("a_pos", ("b_out0", "b_out1"), TWO_COIN),)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_template_layout_and_steps(pid):
+    spec = get_protocol(pid)
+    names, steps = EXPECTED_TEMPLATE[pid]
+    assert spec.layout.names == names
+    got = tuple(
+        (
+            tuple(reg for reg, _ in step.gates),
+            tuple((s.position, s.coins, dict(s.rule)) for s in step.shifts),
+        )
+        for step in spec.steps
+    )
+    assert got == steps
+    assert all(np.array_equal(gate, HADAMARD) for step in spec.steps for _, gate in step.gates)
+    assert spec.plus_coins == (("a_out", "b_out") if pid == "cycle1q" else ())
 
 
 def test_payload_validation():
