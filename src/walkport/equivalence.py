@@ -19,7 +19,7 @@ from .hilbert import Label, SparseState
 from .measure import (
     branch_maps,
     enumerate_branches,
-    pauli_net_classes,
+    pauli_masks,
     project,
     position_projectors,
     synthesized_table,
@@ -83,20 +83,12 @@ def phase_aligned_delta(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def mapped_table_mismatches(outcome_pairs, left, right) -> list[dict]:
-    """Mapped table rows whose Pauli strings reduce to different net classes.
+    """Mapped table rows whose Pauli strings differ, phase ignored.
 
     ``left`` and ``right`` are (name, table, target coins); rows pair up by
-    outcome pair and coin.  Tables hold far fewer distinct Pauli strings
-    than rows, so each string is reduced once per call.
+    outcome pair and coin and compare as ``pauli_masks`` without the sign.
     """
     (lname, ltable, ltargets), (rname, rtable, rtargets) = left, right
-    net: dict = {}
-
-    def classes(ops, targets):
-        if (ops, targets) not in net:
-            net[ops, targets] = pauli_net_classes(ops, targets)
-        return net[ops, targets]
-
     coins = sorted({c for _, c in ltable.rows})
     mismatches = []
     for lout, rout in outcome_pairs:
@@ -105,7 +97,7 @@ def mapped_table_mismatches(outcome_pairs, left, right) -> list[dict]:
             rops = rtable.rows.get((rout, coin))
             if lops is None or rops is None:
                 raise MappingIncomplete(f"table row missing for ({lout}, {rout}, {coin})")
-            if classes(lops, ltargets) != classes(rops, rtargets):
+            if pauli_masks(lops, ltargets)[:2] != pauli_masks(rops, rtargets)[:2]:
                 mismatches.append(
                     {
                         f"{lname}_outcome": lout,
@@ -142,7 +134,6 @@ def mapped_branch_rows(
 
 def check_two_qubit_equivalence(
     payloads: list[Payload],
-    mapping: BasisMapping | None = None,
     tol: float = EQUIV_TOL,
     single_table=None,
     twostep_table=None,
@@ -150,8 +141,7 @@ def check_two_qubit_equivalence(
     """Compare every mapped branch pair and the two synthesized tables."""
     single = get_protocol("single2q")
     twostep = get_protocol("twostep2q")
-    if mapping is None:
-        mapping = two_qubit_mapping(single, twostep)
+    mapping = two_qubit_mapping(single, twostep)
     outcome_pairs = mapping.outcome_pairs()
     table_s = single_table if single_table is not None else synthesized_table(single)
     table_t = twostep_table if twostep_table is not None else synthesized_table(twostep)

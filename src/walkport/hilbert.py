@@ -76,13 +76,6 @@ class Register:
             return self.size
         return 2
 
-    def values(self) -> range:
-        if self.kind == LATTICE:
-            return range(-self.size, self.size + 1)
-        if self.kind == CYCLE:
-            return range(self.size)
-        return range(2)
-
     def admits(self, value: int) -> bool:
         if self.kind == LATTICE:
             return -self.size <= value <= self.size

@@ -36,6 +36,7 @@ from .errors import (
     MissingCorrection,
     NoPauliCorrection,
     UnknownPauliOp,
+    UnknownRegister,
 )
 from .hilbert import Label, RegisterLayout, SparseState
 from .protocols import (
@@ -45,21 +46,15 @@ from .protocols import (
     bits_to_index,
     check_payload,
     run_walks,
-    seeded_payloads,
 )
 
 VACUOUS_TOL = 1e-14
 RENORM_TOL_SQ = 1e-24
 PROJECTOR_TOL = 1e-12
 PAULI_TOL = 1e-10
-BRANCH_FIDELITY_TOL = 1e-9
 
 # Indexed by x + 2z for one coin's masks.
 PAULI_OPS = ("I", "X", "Z", "ZX")
-
-# Seed of the generic payloads that compare_tables checks differing
-# reference rows against.
-COMPARE_SEED = 1890
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +196,16 @@ class CorrectionTable:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rows for ``keys`` as ``corrected[b] = sign[b] * residual[b][src[b]]``.
 
-        Cached on the table; each distinct row is probed once per process
-        (``pauli_probe``).
+        Row ``sign * Z^z X^x`` (``pauli_masks``) moves entry ``i ^ x`` to
+        ``i`` with sign ``sign * (-1)^popcount(i & z)``.  Cached on the table.
         """
         cache_key = (keys, layout)
         if cache_key not in self._permutations:
-            moved = np.array([pauli_probe(self.get(*key), layout) for key in keys])
-            self._permutations[cache_key] = (np.abs(moved).astype(int) - 1, np.sign(moved))
+            masks = [pauli_masks(self.get(*key), layout.names) for key in keys]
+            x, z, s = (np.array(column)[:, None] for column in zip(*masks))
+            idx = np.arange(1 << len(layout))
+            sign = np.where(np.bitwise_count(idx & z) & 1, -s, s).astype(float)
+            self._permutations[cache_key] = (idx ^ x, sign)
         return self._permutations[cache_key]
 
     def to_json_dict(self) -> dict:
@@ -260,35 +258,31 @@ def apply_pauli_string(
 
 
 @functools.cache
-def pauli_probe(ops: tuple[tuple[str, str], ...], layout: RegisterLayout) -> np.ndarray:
-    """Where a Pauli string moves each basis entry of ``layout``, and with which sign.
+def pauli_masks(
+    ops: tuple[tuple[str, str], ...], targets: tuple[str, ...]
+) -> tuple[int, int, int]:
+    """A listed Pauli string as ``(x, z, sign)`` with the string ``sign * Z^z X^x``.
 
-    The string is applied by apply_pauli_string to a probe state whose
-    amplitude at basis index i is i + 1; entry j of the result is
-    ``sign * (src + 1)`` for the entry that lands on j.  Read-only, cached
-    per distinct string: a two-qubit table repeats 256 strings over 1,296 rows.
+    Target k is bit ``1 << (len(targets) - 1 - k)``, as in a basis index,
+    and ops apply right to left, as in apply_pauli_string.  Cached per
+    distinct string: a two-qubit table repeats 256 strings over 1,296 rows.
     """
-    labels = itertools.product((0, 1), repeat=len(layout))
-    probe = SparseState(layout, {label: i + 1.0 for i, label in enumerate(labels)})
-    moved = dense_on_targets(apply_pauli_string(probe, ops)).real
-    moved.flags.writeable = False
-    return moved
-
-
-def pauli_net_classes(
-    ops: Iterable[tuple[str, str]], targets: Sequence[str]
-) -> dict[str, str]:
-    """Reduce a listed Pauli string to one class per register, phase ignored."""
-    parity = {t: [0, 0] for t in targets}
-    for reg, op in ops:
-        x = "X" in op
-        z = "Z" in op
-        parity[reg][0] ^= int(x)
-        parity[reg][1] ^= int(z)
-    classes = {}
-    for reg, (x, z) in parity.items():
-        classes[reg] = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "ZX"}[(x, z)]
-    return classes
+    bits = {reg: 1 << (len(targets) - 1 - k) for k, reg in enumerate(targets)}
+    x = z = 0
+    sign = 1
+    for reg, op in reversed(ops):
+        if op not in PAULI_OPS:
+            raise UnknownPauliOp(f"unknown Pauli op {op!r}")
+        if reg not in bits:
+            raise UnknownRegister(f"no register named {reg!r}")
+        code, bit = PAULI_OPS.index(op), bits[reg]
+        if code & 1:
+            # X Z = -Z X on one coin.
+            sign = -sign if z & bit else sign
+            x ^= bit
+        if code & 2:
+            z ^= bit
+    return x, z, sign
 
 
 def dense_on_targets(state: SparseState) -> np.ndarray:
@@ -311,10 +305,6 @@ def expected_output(spec: ProtocolSpec, payload: Payload) -> SparseState:
         amp = payload.bob[bits_to_index(bits[:q])] * payload.alice[bits_to_index(bits[q:])]
         amps[bits] = amp
     return SparseState(layout, amps, spec.tol)
-
-
-def expected_output_dense(spec: ProtocolSpec, payload: Payload) -> np.ndarray:
-    return np.kron(payload.bob, payload.alice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,7 +465,7 @@ def enumerate_branches(
     np.divide(1.0, np.sqrt(probs), out=scale, where=probs > RENORM_TOL_SQ)
     corrected = sign * np.take_along_axis(residuals, src, axis=1)
     vectors = np.where(vacuous[:, None], residuals, corrected) * scale[:, None]
-    overlaps = vectors @ expected_output_dense(spec, payload).conj()
+    overlaps = vectors @ np.kron(payload.bob, payload.alice).conj()
     fidelities = np.where(vacuous, 0.0, np.abs(overlaps) ** 2)
     return Branches(maps.keys, probs, fidelities, vacuous, vectors, maps.layout, maps.tol)
 
@@ -536,42 +526,30 @@ def bundled_table(protocol_id: str) -> CorrectionTable:
 def compare_tables(spec: ProtocolSpec, reference: CorrectionTable) -> dict:
     """Row-by-row comparison of a reference table against the synthesized one.
 
-    Reports net-Pauli mismatches (with whether the reference row still
-    reaches the target on generic payloads), rows the reference omits for
-    families it covers, and rows it lists that the plan does not contain.
+    Reports rows whose net Pauli differs (``pauli_masks``, phase ignored),
+    rows the reference omits for families it covers, and rows it lists that
+    the plan does not contain.  synthesize_table proved each branch map
+    ``lam * X^x Z^z`` times the swap with ``lam != 0``, so a differing row
+    never reaches the target: ``reference_achieves_target`` is False.
     """
     synth = synthesized_table(spec)
+    targets = spec.target_coins
     covered_positions = sorted({pos for pos, _ in reference.rows})
     expected_keys = [k for k in sorted(synth.rows) if k[0] in covered_positions]
     missing = [list(k) for k in expected_keys if k not in reference.rows]
     extra = [list(k) for k in sorted(reference.rows) if k not in synth.rows]
-    differing = [
-        key
-        for key in expected_keys
-        if key in reference.rows
-        and pauli_net_classes(reference.rows[key], spec.target_coins)
-        != pauli_net_classes(synth.rows[key], spec.target_coins)
-    ]
-    achieves = dict.fromkeys(differing, True)
-    if differing:
-        patched = CorrectionTable(spec.id, {**synth.rows, **reference.rows})
-        rows = [branch_maps(spec).keys.index(key) for key in differing]
-        for payload in seeded_payloads(COMPARE_SEED, 3, spec.qubits):
-            branches = enumerate_branches(spec, payload, patched)
-            failed = ~branches.vacuous[rows] & (
-                branches.fidelities[rows] < 1.0 - BRANCH_FIDELITY_TOL
-            )
-            for key in itertools.compress(differing, failed.tolist()):
-                achieves[key] = False
     mismatches = [
         {
             "position": key[0],
             "coin": key[1],
             "reference": [list(p) for p in reference.rows[key]],
             "synthesized": [list(p) for p in synth.rows[key]],
-            "reference_achieves_target": achieves[key],
+            "reference_achieves_target": False,
         }
-        for key in differing
+        for key in expected_keys
+        if key in reference.rows
+        and pauli_masks(reference.rows[key], targets)[:2]
+        != pauli_masks(synth.rows[key], targets)[:2]
     ]
     return {
         "protocol": spec.id,

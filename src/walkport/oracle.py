@@ -56,23 +56,11 @@ def value_index(reg: Register, value: int) -> int:
     return value + reg.size if reg.kind == LATTICE else value
 
 
-def index_value(reg: Register, index: int) -> int:
-    return index - reg.size if reg.kind == LATTICE else index
-
-
 def label_to_index(layout: RegisterLayout, label: Label) -> int:
     idx = 0
     for reg, value in zip(layout.registers, label):
         idx = idx * reg.dim + value_index(reg, value)
     return idx
-
-
-def index_to_label(layout: RegisterLayout, index: int) -> Label:
-    values = []
-    for reg in reversed(layout.registers):
-        index, sub = divmod(index, reg.dim)
-        values.append(index_value(reg, sub))
-    return tuple(reversed(values))
 
 
 def densify(state: SparseState) -> np.ndarray:
@@ -86,12 +74,17 @@ def densify(state: SparseState) -> np.ndarray:
 def support_state(
     layout: RegisterLayout, indices: np.ndarray, values: np.ndarray, tol: float
 ) -> SparseState:
-    """The state with ``values`` at the flat ``indices`` and zero elsewhere."""
-    amps = {
-        index_to_label(layout, index): value
-        for index, value in zip(indices.tolist(), values.tolist())
-    }
-    return SparseState(layout, amps, tol)
+    """The state with ``values`` at the flat ``indices`` and zero elsewhere.
+
+    One mixed-radix ``unravel_index`` over all indices gives the dense axis
+    positions, first register most significant; lattice values are offset.
+    It rejects any index outside the space, so every label is in range and
+    is not validated again term by term.
+    """
+    positions = np.unravel_index(indices, [reg.dim for reg in layout])
+    offsets = [value_index(reg, 0) for reg in layout]
+    labels = (np.stack(positions, axis=1) - offsets).tolist()
+    return SparseState._derived(layout, dict(zip(map(tuple, labels), values.tolist())), tol)
 
 
 def sparsify(vec: np.ndarray, layout: RegisterLayout, tol: float = 1e-12) -> SparseState:

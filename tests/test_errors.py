@@ -4,7 +4,7 @@ import pytest
 
 from walkport.errors import NonFiniteAmplitude, UnknownPauliOp, WalkportError
 from walkport.hilbert import Register, RegisterLayout, SparseState, coin
-from walkport.measure import apply_pauli_string
+from walkport.measure import apply_pauli_string, pauli_masks
 from walkport.protocols import PositionFamily, get_protocol
 from walkport.walkops import ConditionedShift, WalkStep
 
@@ -45,6 +45,10 @@ def test_non_finite_amplitude_is_a_walkport_error():
 
 
 def test_unknown_pauli_op_is_a_walkport_error():
-    with pytest.raises(UnknownPauliOp) as err:
-        apply_pauli_string(SparseState(COIN, {(0,): 1.0}), [("c", "Y")])
-    assert isinstance(err.value, WalkportError) and isinstance(err.value, ValueError)
+    for read in (
+        lambda: apply_pauli_string(SparseState(COIN, {(0,): 1.0}), [("c", "Y")]),
+        lambda: pauli_masks((("c", "Y"),), ("c",)),
+    ):
+        with pytest.raises(UnknownPauliOp) as err:
+            read()
+        assert isinstance(err.value, WalkportError) and isinstance(err.value, ValueError)

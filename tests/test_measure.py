@@ -9,6 +9,7 @@ from walkport.errors import (
     MalformedProjector,
     MissingCorrection,
     NoPauliCorrection,
+    UnknownPauliOp,
     UnknownRegister,
 )
 from walkport.measure import (
@@ -22,7 +23,7 @@ from walkport.measure import (
     dense_on_targets,
     enumerate_branches,
     expected_output,
-    pauli_net_classes,
+    pauli_masks,
     position_projectors,
     project,
     synthesize_table,
@@ -166,27 +167,28 @@ def test_apply_pauli_string_order_and_classes():
     layout_state = expected_output(LINE, Payload(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     flipped = apply_pauli_string(layout_state, [("a_out", "X")])
     assert abs(flipped.amplitude((0, 0)) - 1.0) < 1e-12
-    classes = pauli_net_classes(
-        [("a_out", "Z"), ("a_out", "X"), ("b_out", "X")], ("a_out", "b_out")
-    )
-    assert classes == {"a_out": "ZX", "b_out": "X"}
+    # Right to left: X on b_out, X on a_out, then Z on a_out.  Target k is
+    # bit 1 << (1 - k); X after Z on one coin costs a sign.
+    targets = ("a_out", "b_out")
+    assert pauli_masks((("a_out", "Z"), ("a_out", "X"), ("b_out", "X")), targets) == (3, 2, 1)
+    assert pauli_masks((("a_out", "X"), ("a_out", "Z")), targets) == (2, 2, -1)
+    assert pauli_masks((("b_out", "ZX"), ("b_out", "ZX")), targets) == (0, 0, -1)
+    assert pauli_masks((("a_out", "I"),), targets) == (0, 0, 1)
+    with pytest.raises(UnknownRegister):
+        pauli_masks((("c_out", "X"),), targets)
+    with pytest.raises(UnknownPauliOp):
+        pauli_masks((("a_out", "Y"),), targets)
 
 
 def test_synthesized_origin_block_rows(warm_tables):
     table = synthesized_table(LINE)
     assert table.get("00", "++") == (("a_out", "X"), ("b_out", "X"))
-    assert pauli_net_classes(table.get("00", "+-"), LINE.target_coins) == {
-        "a_out": "ZX",
-        "b_out": "X",
+    # (x, z, sign) with a_out as bit 2 and b_out as bit 1: ZX on a_out for
+    # "+-", on b_out for "-+", on both for "--".
+    masks = {
+        coin: pauli_masks(table.get("00", coin), LINE.target_coins) for coin in ("+-", "-+", "--")
     }
-    assert pauli_net_classes(table.get("00", "-+"), LINE.target_coins) == {
-        "a_out": "X",
-        "b_out": "ZX",
-    }
-    assert pauli_net_classes(table.get("00", "--"), LINE.target_coins) == {
-        "a_out": "ZX",
-        "b_out": "ZX",
-    }
+    assert masks == {"+-": (3, 2, 1), "-+": (3, 1, 1), "--": (3, 3, 1)}
 
 
 def test_single_family_spec_table():
@@ -315,25 +317,31 @@ def test_branch_rows_equal_the_columns(warm_tables):
     assert int(enumerate_branches(spec, basis, table).vacuous.sum()) == 4
 
 
-def test_pauli_probe_runs_once_per_distinct_string(warm_tables, monkeypatch):
-    # A fresh table instance re-derives its permutations but probes no
-    # string already probed in this process.
-    spec = get_protocol("single2q")
-    maps = branch_maps(spec)
-    rows = synthesized_table(spec).rows
-    fresh = CorrectionTable(spec.id, dict(rows))
-    fresh.signed_permutations(maps.keys, maps.layout)
-    probes = []
-    monkeypatch.setattr(
-        measure, "apply_pauli_string", lambda *a: probes.append(a) or apply_pauli_string(*a)
-    )
-    again = CorrectionTable(spec.id, dict(rows))
-    src, _ = again.signed_permutations(maps.keys, maps.layout)
-    assert probes == []
-    assert np.array_equal(src, fresh.signed_permutations(maps.keys, maps.layout)[0])
-    assert len(set(rows.values())) == 256
-    with pytest.raises(ValueError):
-        measure.pauli_probe(rows[maps.keys[0]], maps.layout)[0] = 0.0
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_signed_permutations_equal_the_engine_pauli_matrices(warm_tables, pid):
+    # Every row of the synthesized and the bundled table, as a signed
+    # permutation from its masks, is the engine's matrix exactly.  Bundled
+    # rows compose up to 8 ops on repeated registers; read in reverse, some
+    # apply X after Z on one coin, so the sign is exercised too.
+    spec = get_protocol(pid)
+    layout = branch_maps(spec).layout
+    dim = 1 << len(layout)
+    bundled = measure.bundled_table(pid)
+    reversed_rows = CorrectionTable(pid, {k: ops[::-1] for k, ops in bundled.rows.items()})
+    engine = {}
+    for table in (synthesized_table(spec), bundled, reversed_rows):
+        keys = tuple(sorted(table.rows))
+        src, sign = table.signed_permutations(keys, layout)
+        assert table.signed_permutations(keys, layout)[0] is src
+        for b, key in enumerate(keys):
+            ops = table.get(*key)
+            if ops not in engine:
+                engine[ops] = _pauli_matrix(ops, layout)
+            matrix = np.zeros((dim, dim))
+            matrix[np.arange(dim), src[b]] = sign[b]
+            assert np.array_equal(matrix, engine[ops]), key
+    assert max(map(len, bundled.rows.values())) >= 4
+    assert any(pauli_masks(ops, spec.target_coins)[2] < 0 for ops in engine)
 
 
 def test_caches_are_keyed_on_bound_and_tol(warm_tables):

@@ -26,7 +26,11 @@ def test_densify_one_hot_indexing():
     vec = oracle.densify(state)
     idx = oracle.label_to_index(spec.layout, (0, 0, 0, 0, 0, 0))
     assert abs(vec[idx] - state.amplitude((0, 0, 0, 0, 0, 0))) < 1e-15
-    assert oracle.index_to_label(spec.layout, idx) == (0, 0, 0, 0, 0, 0)
+    dim = oracle.layout_dim(spec.layout)
+    indices = np.array([0, idx, dim - 1])
+    back = oracle.support_state(spec.layout, indices, np.array([1.0, 2.0, 3.0]), 1e-12)
+    assert list(back.amps) == [(-4, -4, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (4, 4, 1, 1, 1, 1)]
+    assert [oracle.label_to_index(spec.layout, label) for label in back.amps] == indices.tolist()
 
 
 def test_densify_sparsify_roundtrip_random_vectors():
