@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -275,6 +276,9 @@ def cmd_run(args) -> int:
     tol = args.tol
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"--tol must be positive and finite, got {tol}")
+    if tol >= 1:
+        # From tol = 1 up, 1 - tol <= 0 and every fidelity would pass.
+        raise ConfigError(f"--tol must be below 1, got {tol}")
     spec = protocol_spec(args)
     payloads, source, warnings = resolve_payloads(args, spec.qubits)
     table = protocol_table(args, spec)
@@ -362,7 +366,7 @@ def cmd_equiv(args) -> int:
 
 
 def parse_family_selection(text: str, available: list[str]) -> list[str]:
-    """Family selections like 'P3', 'P1..P15', or 'P1,P4'."""
+    """Family selections like 'P3', 'P1..P15', or 'P1,P4', without repeats."""
     names: list[str] = []
     for part in text.split(","):
         part = part.strip()
@@ -380,7 +384,7 @@ def parse_family_selection(text: str, available: list[str]) -> list[str]:
             names.append(part)
     if not names:
         raise ConfigError(f"no families selected by {text!r}")
-    return names
+    return list(dict.fromkeys(names))  # each family once, in first-seen order
 
 
 def cmd_tables(args) -> int:
@@ -466,6 +470,8 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+# Built once per process; the parser binds the cmd_* functions when it is first built.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkport",

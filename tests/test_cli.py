@@ -41,6 +41,31 @@ def test_family_selection():
     assert parse_family_selection("P0,P15", available) == ["P0", "P15"]
 
 
+def test_repeated_families_are_selected_once_in_first_seen_order(tmp_path, warm_tables):
+    available = [f"P{k}" for k in range(16)]
+    assert parse_family_selection("P3,P1..P4,P3,P0", available) == ["P3", "P1", "P2", "P4", "P0"]
+    out = tmp_path / "report.json"
+    assert run_cli("tables", "line1q", "--families", "00,00,02", "--out", str(out)) == 0
+    report = read_json(out)
+    assert report["families"] == ["00", "02"]
+    assert sorted(report["synthesized"]) == ["00", "02"]
+    outdir = tmp_path / "tables"
+    outdir.mkdir()
+    assert run_cli("tables", "line1q", "--families", "02,00,02", "--out", str(outdir)) == 0
+    summary = read_json(outdir / "line1q_tables_report.json")
+    assert summary["families"] == ["02", "00"]
+    assert summary["synthesized"] == ["00", "02"]
+
+
+def test_two_main_calls_build_one_parser(tmp_path, warm_tables):
+    cli.build_parser.cache_clear()
+    out = str(tmp_path / "report.json")
+    assert run_cli("run", "line1q", "--count", "1", "--out", out) == 0
+    assert run_cli("equiv", "cycle-line", "--count", "1", "--out", out) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_run_seeded_line(tmp_path, warm_tables):
     out = tmp_path / "report.json"
     assert run_cli("run", "line1q", "--seed", "7", "--count", "3", "--out", str(out)) == 0
@@ -286,7 +311,7 @@ def test_negative_seed_is_a_config_error(verb, capsys, monkeypatch):
     assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9", "1", "5"])
 def test_non_positive_or_non_finite_tol_is_a_config_error(tol, capsys):
     assert run_cli("run", "line1q", f"--tol={tol}") == 2
     assert_one_error_line(capsys)
@@ -400,7 +425,7 @@ FUZZ_VALUES = {
     "--seed": valid_or_not(st.integers(0, 3), ("-1", "x", "", "1.5", "9" * 30)),
     "--count": valid_or_not(st.integers(1, 3), ("0", "-1", "x", "")),
     "--bound": valid_or_not(st.integers(2, 10), ("1", "0", "-1", "x", "2.5")),
-    "--tol": valid_or_not(st.sampled_from(("1e-9", "1e-3", "1e308")), ("0", "-1", "nan", "inf", "x")),
+    "--tol": valid_or_not(st.sampled_from(("1e-9", "1e-3", "0.5")), ("0", "-1", "nan", "inf", "x", "1", "1e308")),
     "--alice": valid_or_not(st.sampled_from(("1,0", "0.6:0,0:0.8")), ("1,1", "nan,0", "x", "1,0,0,0", "")),
     "--bob": valid_or_not(st.sampled_from(("0,1", "1.000000001,0", "0:1,0")), ("1e400,0", "", "0,0")),
     "--families": valid_or_not(st.sampled_from(("00", "02,20", "00..22")), ("22..00", "", ",", "P1", "..")),

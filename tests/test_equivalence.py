@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from walkport import equivalence, measure
+from walkport import cli, equivalence, measure
 from walkport.errors import MappingIncomplete, NoPauliCorrection
-from walkport.protocols import PositionFamily, get_protocol, seeded_payloads
+from walkport.protocols import PositionFamily, get_protocol, run_walks, seeded_payloads
+
+from test_spec_mutations import first_jump_off_by_one
 
 
 def test_family_size_ledger():
@@ -195,8 +197,106 @@ def test_mapped_branch_rows_reject_an_unknown_outcome(warm_tables):
 def test_cycle_line_equivalence_holds(warm_tables):
     report = equivalence.check_cycle_line_equivalence(seeded_payloads(4, 3, 1))
     assert report["ok"]
-    assert report["max_state_delta"] <= 1e-10
+    assert report["max_state_delta"] == 0.0
     assert report["table_mismatches"] == []
+
+
+def per_payload_cycle_line_equivalence(payloads, cycle_table=None):
+    """The per-payload walks check_cycle_line_equivalence replaced, as a reference."""
+    line = equivalence.get_protocol("line1q")
+    cyc = equivalence.get_protocol("cycle1q")
+    table_cycle = cycle_table if cycle_table is not None else measure.synthesized_table(cyc)
+    table_mismatches = equivalence.mapped_table_mismatches(
+        equivalence.CYCLE_LINE_FAMILY_MAP,
+        ("line", measure.synthesized_table(line), line.target_coins),
+        ("cycle", table_cycle, cyc.target_coins),
+    )
+    max_ds = 0.0
+    state_mismatches = []
+    spot_checks = []
+    for index, payload in enumerate(payloads):
+        line_state = run_walks(line, payload)
+        cycle_state = run_walks(cyc, payload)
+        delta = equivalence.reduce_mod4(line_state, cyc.layout).max_delta(cycle_state)
+        max_ds = max(max_ds, delta)
+        if delta > equivalence.EQUIV_TOL:
+            state_mismatches.append({"payload": index, "state_delta": delta})
+        if index == 0:
+            spot_checks.append(
+                equivalence._origin_residual_spot_check(cyc, cycle_state, payload)
+            )
+    return {
+        "claim": "cycle protocol equals line protocol reduced mod 4",
+        "payloads": len(payloads),
+        "max_state_delta": max_ds,
+        "state_mismatches": state_mismatches,
+        "table_mismatches": table_mismatches,
+        "text_discrepancies": spot_checks,
+        "ok": not state_mismatches
+        and not table_mismatches
+        and all(c["corrected_term_reproduced"] for c in spot_checks),
+    }
+
+
+@pytest.mark.parametrize("seed, family", [(0, None), (11, None), (2999, None), (5, "02")])
+def test_map_cycle_line_check_equals_per_payload_reference(warm_tables, seed, family):
+    kwargs = {}
+    if family is not None:
+        cyc = get_protocol("cycle1q")
+        kwargs["cycle_table"] = measure.corrupt_table(
+            measure.synthesized_table(cyc), family, cyc.target_coins
+        )
+    payloads = seeded_payloads(seed, 24, 1)
+    report = equivalence.check_cycle_line_equivalence(payloads, **kwargs)
+    reference = per_payload_cycle_line_equivalence(payloads, **kwargs)
+    assert {**report, "max_state_delta": None} == {**reference, "max_state_delta": None}
+    # The walks leave rounding noise; the difference of the maps is exactly 0.
+    assert reference["max_state_delta"] <= 2e-16
+    assert report["max_state_delta"] == 0.0
+    assert report["ok"] == (family is None)
+
+
+def test_cycle_line_difference_is_exactly_zero(warm_tables):
+    difference = equivalence.cycle_line_difference(get_protocol("line1q"), get_protocol("cycle1q"))
+    assert difference.shape == (16, 4)
+    assert not difference.any()
+
+
+def test_cycle_line_check_flags_a_mutated_cycle_walk(warm_tables, monkeypatch):
+    cyc = get_protocol("cycle1q")
+    table = measure.synthesized_table(cyc)
+    # The mutated spec has no Pauli table, so the unmutated one stands in.
+    mutated = first_jump_off_by_one(cyc)
+    monkeypatch.setattr(
+        equivalence, "get_protocol", lambda pid: mutated if pid == "cycle1q" else get_protocol(pid)
+    )
+    payloads = seeded_payloads(12, 5, 1)
+    report = equivalence.check_cycle_line_equivalence(payloads, cycle_table=table)
+    reference = per_payload_cycle_line_equivalence(payloads, cycle_table=table)
+    assert not report["ok"]
+    assert [m["payload"] for m in report["state_mismatches"]] == list(range(5))
+    assert [m["payload"] for m in reference["state_mismatches"]] == list(range(5))
+    for got, want in zip(report["state_mismatches"], reference["state_mismatches"]):
+        assert got["state_delta"] == pytest.approx(want["state_delta"], abs=1e-12)
+    assert report["max_state_delta"] > 1e-3
+    monkeypatch.undo()
+    # The difference map is cached per spec object, not per protocol id.
+    assert equivalence.check_cycle_line_equivalence(payloads)["max_state_delta"] == 0.0
+
+
+def test_equiv_cycle_line_walks_once_per_call_after_the_first(warm_tables, tmp_path, monkeypatch):
+    out = str(tmp_path / "report.json")
+    argv = ["equiv", "cycle-line", "--count", "24", "--out", out]
+    assert cli.main(argv) == 0
+    walked = []
+    walk = equivalence.run_walks
+    monkeypatch.setattr(
+        equivalence, "run_walks", lambda spec, payload: walked.append(spec.id) or walk(spec, payload)
+    )
+    for _ in range(3):
+        assert cli.main(argv) == 0
+    # Only the origin spot check walks: the cycle for the first payload.
+    assert walked == ["cycle1q"] * 3
 
 
 def test_cycle_line_spot_check_surfaces_text_discrepancy(warm_tables):
