@@ -90,10 +90,33 @@ def mapped_table_mismatches(outcome_pairs, left, right) -> list[dict]:
 
     ``left`` and ``right`` are (name, table, target coins); rows pair up by
     outcome pair and coin and compare as ``pauli_masks`` without the sign.
+    The comparison is cached (see ``_mismatched_rows``); the dicts are
+    built fresh on every call.
     """
-    (lname, ltable, ltargets), (rname, rtable, rtargets) = left, right
+    (lname, ltable, _), (rname, rtable, _) = left, right
+    return [
+        {
+            f"{lname}_outcome": lout,
+            f"{rname}_outcome": rout,
+            "coin": coin,
+            f"{lname}_pauli": [list(p) for p in ltable.rows[lout, coin]],
+            f"{rname}_pauli": [list(p) for p in rtable.rows[rout, coin]],
+        }
+        for lout, rout, coin in _mismatched_rows(tuple(outcome_pairs), left, right)
+    ]
+
+
+@functools.lru_cache(maxsize=16)
+def _mismatched_rows(outcome_pairs, left, right) -> tuple[tuple[str, str, str], ...]:
+    """The (left outcome, right outcome, coin) rows that differ.
+
+    Cached per (outcome pairs, left, right).  Tables hash by identity, so a
+    corrupted table, a new object, misses the cache; the bound keeps a
+    long-lived process from growing.
+    """
+    (_, ltable, ltargets), (_, rtable, rtargets) = left, right
     coins = sorted({c for _, c in ltable.rows})
-    mismatches = []
+    mismatched = []
     for lout, rout in outcome_pairs:
         for coin in coins:
             lops = ltable.rows.get((lout, coin))
@@ -101,16 +124,8 @@ def mapped_table_mismatches(outcome_pairs, left, right) -> list[dict]:
             if lops is None or rops is None:
                 raise MappingIncomplete(f"table row missing for ({lout}, {rout}, {coin})")
             if pauli_masks(lops, ltargets)[:2] != pauli_masks(rops, rtargets)[:2]:
-                mismatches.append(
-                    {
-                        f"{lname}_outcome": lout,
-                        f"{rname}_outcome": rout,
-                        "coin": coin,
-                        f"{lname}_pauli": [list(p) for p in lops],
-                        f"{rname}_pauli": [list(p) for p in rops],
-                    }
-                )
-    return mismatches
+                mismatched.append((lout, rout, coin))
+    return tuple(mismatched)
 
 
 @functools.cache

@@ -29,7 +29,6 @@ from .errors import (
 )
 
 PRUNE_TOL = 1e-12
-NORM_TOL = 1e-10
 GATE_TOL = 1e-12
 
 LATTICE = "lattice"
@@ -232,28 +231,6 @@ class SparseState:
 
     def norm2(self) -> float:
         return sum((a * a.conjugate()).real for a in self._amps.values())
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm2() - 1.0) < tol
-
-    def scaled(self, factor: complex) -> "SparseState":
-        return SparseState(
-            self.layout, {l: factor * a for l, a in self._amps.items()}, self.tol
-        )
-
-    def normalized(self) -> "SparseState":
-        n = math.sqrt(self.norm2())
-        if n == 0.0:
-            raise EmptyState("cannot normalize the zero state")
-        return self.scaled(1.0 / n)
-
-    def allclose(self, other: "SparseState", tol: float = NORM_TOL) -> bool:
-        if self.layout != other.layout:
-            return False
-        for label in self._amps.keys() | other._amps.keys():
-            if abs(self.amplitude(label) - other.amplitude(label)) > tol:
-                return False
-        return True
 
     def max_delta(self, other: "SparseState") -> float:
         keys = self._amps.keys() | other._amps.keys()

@@ -8,14 +8,17 @@ the target coins, and score the result against the expected swapped
 payloads.
 
 Every step from the payloads to a branch residual is linear, so each
-branch compiles, once, to a small matrix of ``alice ⊗ bob`` (built from the
-basis payloads by the sparse engine below); verifying a payload is then one
-sparse mat-vec.  Correction tables are read off those matrices: a branch is
-correctable exactly when its map is a Pauli string times the swap, which
-proves fidelity one for every payload.  The synthesized tables are the
-source of truth.  Reference tables bundled under ``data/`` are compared
-against them row by row and any disagreement is reported, not silently
-adopted.
+branch compiles, once, to a small matrix of ``alice ⊗ bob``.  The sparse
+engine walks the basis payloads; the projections are then one tensor
+contraction per position family (``compile_branch_maps``).  Verifying a
+payload is one sparse mat-vec.  ``project`` and ``branch_finals`` measure
+one state branch by branch; they remain as the reference the compiled maps
+are tested against.  Correction tables are read off the maps in one
+vectorised pass: a branch is correctable exactly when its map is a Pauli
+string times the swap, which proves fidelity one for every payload.  The
+synthesized tables are the source of truth.  Reference tables bundled
+under ``data/`` are compared against them row by row and any disagreement
+is reported, not silently adopted.
 """
 
 from __future__ import annotations
@@ -401,40 +404,60 @@ class BranchMaps:
     def dim(self) -> int:
         return 1 << len(self.layout)
 
-    def block(self, b: int) -> np.ndarray:
-        """``M_b`` as a dense ``dim x dim`` matrix."""
-        return self.matrix[b * self.dim : (b + 1) * self.dim].toarray()
-
 
 def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
-    """Build every branch map with the sparse engine.
+    """Build every branch map by one contraction per position family.
 
     Walk steps and projections are linear and the payloads enter only
     through ``alice ⊗ bob``, so column ``i*d + j`` of ``M_b`` is branch b's
-    residual for the basis payloads ``(e_i, e_j)``, scaled back by the
-    square root of its probability.
+    unnormalized residual for the basis payloads ``(e_i, e_j)``.  The basis
+    walks are scattered into one dense array
+    ``S[member, measured-coin bits, target bits, column]``, skipping
+    positions outside every family.  A family's branches are then its
+    sign-pattern weights contracted over its members, and the coin weights
+    over the measured-coin bits.
     """
     d = 1 << spec.qubits
     basis = np.eye(d)
-    columns: dict[tuple[str, str], list[tuple[int, int, complex]]] = {}
+    layout = spec.layout
+    positions = layout.subset(spec.measured_positions)
+    coins = layout.subset(spec.measured_coins)
+    targets = layout.subset(spec.target_coins)
+    member_row: dict[Label, int] = {}
+    for family in spec.position_families:
+        for member in family.members:
+            member_row.setdefault(member, len(member_row))
+    shape = (len(member_row), 1 << len(coins), 1 << len(targets), d * d)
+    finals = np.zeros(shape, dtype=complex)
     for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
-        finals = branch_finals(spec, Payload(basis[i], basis[j]))
-        for key, (prob, final) in finals.items():
-            scale = math.sqrt(prob)
-            columns.setdefault(key, []).extend(
-                (bits_to_index(label), col, scale * amp)
-                for label, amp in final.amps.items()
-            )
-    keys = tuple(sorted(columns))
-    layout = RegisterLayout(spec.layout.register(name) for name in spec.target_coins)
-    dim = 1 << len(layout)
-    rows, cols, data = zip(
-        *((b * dim + r, c, v) for b, key in enumerate(keys) for r, c, v in columns[key])
+        for label, amp in run_walks(spec, Payload(basis[i], basis[j])).amps.items():
+            row = member_row.get(tuple(label[k] for k in positions))
+            if row is not None:
+                c = bits_to_index(tuple(label[k] for k in coins))
+                t = bits_to_index(tuple(label[k] for k in targets))
+                finals[row, c, t, col] = amp
+
+    # Projector terms run over the members, and over the coin bits in index order.
+    coin_projs = coin_projectors(spec)
+    wc = np.array([[w.conjugate() for _, w in p.terms] for p in coin_projs])
+    families = [(f, position_projectors(f)) for f in spec.position_families]
+    keys = tuple(
+        sorted((p.name, c.name) for _, projs in families for p in projs for c in coin_projs)
     )
-    matrix = sparse.csr_matrix(
-        (np.array(data, dtype=complex), (rows, cols)), shape=(len(keys) * dim, d * d)
-    )
-    return BranchMaps(keys, matrix, layout, spec.tol)
+    branch_index = {key: b for b, key in enumerate(keys)}
+    dim = shape[2]
+    entries = []
+    for family, projs in families:
+        wp = np.array([[w.conjugate() for _, w in p.terms] for p in projs])
+        members = finals[[member_row[member] for member in family.members]]
+        chunk = np.einsum("cm,rmtk->rctk", wc, np.tensordot(wp, members, axes=(1, 0)))
+        r, c, t, k = np.nonzero(chunk)
+        branch = np.array([[branch_index[p.name, q.name] for q in coin_projs] for p in projs])
+        entries.append((branch[r, c] * dim + t, k, chunk[r, c, t, k]))
+    rows, cols, data = (np.concatenate(column) for column in zip(*entries))
+    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(len(keys) * dim, d * d))
+    target_layout = RegisterLayout(layout.register(name) for name in spec.target_coins)
+    return BranchMaps(keys, matrix, target_layout, spec.tol)
 
 
 @functools.cache
@@ -480,25 +503,42 @@ def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:
     signals a malformed projector family.
     """
     maps = branch_maps(spec)
+    matrix, dim, n = maps.matrix, maps.dim, len(maps.keys)
     d = 1 << spec.qubits
-    idx = np.arange(maps.dim)
+    idx = np.arange(dim)
     swap = (idx % d) * d + idx // d
-    bits = [1 << m for m in range(len(spec.target_coins))]
-    rows: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for b, key in enumerate(maps.keys):
-        block = maps.block(b)[:, swap]
-        xmask = int(np.argmax(np.abs(block[:, 0])))
-        lam = block[xmask, 0]
-        zmask = sum(bit for bit in bits if (block[bit ^ xmask, bit] * lam.conjugate()).real < 0)
-        pauli = np.zeros_like(block)
-        pauli[idx ^ xmask, idx] = np.where(np.bitwise_count(idx & zmask) & 1, -1, 1)
-        if abs(lam) ** 2 < VACUOUS_TOL or np.abs(block - lam * pauli).max() > PAULI_TOL:
-            raise NoPauliCorrection(f"no Pauli string corrects branch {key}")
-        rows[key] = tuple(
-            (reg, PAULI_OPS[bool(xmask & bit) + 2 * bool(zmask & bit)])
-            for reg, bit in zip(spec.target_coins, reversed(bits))
-            if (xmask | zmask) & bit
+    first = np.arange(n)[:, None] * dim  # each block's first row in the matrix
+    # Column 0 of every block, whose swapped column 0 is itself.
+    column0 = matrix[:, [0]].toarray().reshape(n, dim)
+    xmask = np.argmax(np.abs(column0), axis=1)
+    lam = column0[np.arange(n), xmask]
+    bits = 1 << np.arange(len(spec.target_coins))
+    diagonal = matrix[(first + (bits ^ xmask[:, None])).ravel(), np.tile(swap[bits], n)]
+    flips = (np.asarray(diagonal).reshape(n, len(bits)) * lam.conj()[:, None]).real < 0
+    zmask = flips @ bits
+    # Every block's lam * Z^z X^x, with its columns put back by the swap.
+    signs = np.where(np.bitwise_count(idx & zmask[:, None]) & 1, -1.0, 1.0)
+    expected = sparse.csr_matrix(
+        (
+            (lam[:, None] * signs).ravel(),
+            ((first + (idx ^ xmask[:, None])).ravel(), np.tile(swap, n)),
+        ),
+        shape=matrix.shape,
+    )
+    residual = abs(matrix - expected).max(axis=1).toarray().reshape(n, dim).max(axis=1)
+    failed = np.flatnonzero((np.abs(lam) ** 2 < VACUOUS_TOL) | (residual > PAULI_TOL))
+    if failed.size:
+        raise NoPauliCorrection(f"no Pauli string corrects branch {maps.keys[failed[0]]}")
+    # The first target coin is the most significant bit.
+    target_bits = tuple(zip(spec.target_coins, bits[::-1].tolist()))
+    rows = {
+        key: tuple(
+            (reg, PAULI_OPS[bool(x & bit) + 2 * bool(z & bit)])
+            for reg, bit in target_bits
+            if (x | z) & bit
         )
+        for key, x, z in zip(maps.keys, xmask.tolist(), zmask.tolist())
+    }
     return CorrectionTable(spec.id, rows)
 
 

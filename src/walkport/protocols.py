@@ -156,6 +156,8 @@ class ProtocolSpec:
             raise InvalidDefinition("a protocol has exactly four walk steps")
         if set(self.target_coins) & set(self.measured_coins):
             raise InvalidDefinition("target coins must be disjoint from measured coins")
+        if any(f.registers != self.measured_positions for f in self.position_families):
+            raise InvalidDefinition("every position family measures the measured positions")
 
 
 def _pattern_values_pair(bit: int) -> tuple[int, ...]:

@@ -64,6 +64,27 @@ def test_two_qubit_equivalence_flags_corruption(warm_tables):
     assert any(m["twostep_outcome"].startswith("Q3") for m in report["table_mismatches"])
 
 
+def test_mapped_table_comparison_is_cached_per_table_pair(warm_tables):
+    spec = get_protocol("twostep2q")
+    broken = measure.corrupt_table(
+        measure.synthesized_table(spec), "Q3", spec.target_coins
+    )
+    equivalence._mismatched_rows.cache_clear()
+    for _ in range(2):
+        assert equivalence.check_two_qubit_equivalence([])["table_mismatches"] == []
+    info = equivalence._mismatched_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    corrupted = equivalence.check_two_qubit_equivalence([], twostep_table=broken)
+    assert corrupted["table_mismatches"]
+    assert all(m["twostep_outcome"].startswith("Q3") for m in corrupted["table_mismatches"])
+    # A caller mutating its result cannot reach the cached comparison.
+    corrupted["table_mismatches"].clear()
+    again = equivalence.check_two_qubit_equivalence([], twostep_table=broken)
+    assert again["table_mismatches"] and not again["ok"]
+    assert equivalence.check_two_qubit_equivalence([])["table_mismatches"] == []
+    assert equivalence._mismatched_rows.cache_info().misses == 2
+
+
 def rowwise_two_qubit_equivalence(
     payloads, mapping=None, tol=equivalence.EQUIV_TOL, single_table=None, twostep_table=None
 ):

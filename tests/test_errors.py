@@ -18,6 +18,9 @@ MALFORMED = {
     "family size": lambda: PositionFamily("f", ("p",), ((0,), (1,), (2,))),
     "step count": lambda: dataclasses.replace(LINE, steps=LINE.steps[:3]),
     "measured target": lambda: dataclasses.replace(LINE, target_coins=LINE.measured_coins),
+    "family registers": lambda: dataclasses.replace(
+        LINE, position_families=(PositionFamily("f", ("a_pos",), ((0,),)),)
+    ),
     "partial rule": lambda: ConditionedShift("p", ("c",), {(0,): 1}),
     "step size": lambda: ConditionedShift("p", ("c",), {(0,): 1, (1,): 3}),
     "shared shift target": lambda: WalkStep(

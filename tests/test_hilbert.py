@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from states import allclose, is_normalized
 from walkport.errors import (
     EmptyState,
     InvalidLabel,
@@ -40,7 +41,7 @@ CYC = get_protocol("cycle1q").layout
 def test_basis_state_single_term():
     s = basis_state(LINE, (0, 0, 0, 0, 0, 0))
     assert dict(s.amps) == {(0, 0, 0, 0, 0, 0): 1.0 + 0.0j}
-    assert s.is_normalized()
+    assert is_normalized(s)
 
 
 def test_basis_state_rejects_coin_out_of_range():
@@ -61,7 +62,7 @@ def test_basis_state_rejects_wrong_length():
 def test_superpose_uniform_pair_is_plus_state():
     w = 1 / math.sqrt(2)
     s = superpose(LINE, [((0, 0, 0, 0, 0, 0), w), ((0, 0, 0, 0, 0, 1), w)])
-    assert s.is_normalized()
+    assert is_normalized(s)
     assert abs(s.amplitude((0, 0, 0, 0, 0, 1)) - w) < 1e-15
 
 
@@ -85,7 +86,7 @@ def test_superpose_product_expansion_matches_manual_kron():
     ]
     state = superpose(LINE, terms)
     spec = get_protocol("line1q")
-    assert state.allclose(build_initial(spec, payload), tol=1e-14)
+    assert allclose(state, build_initial(spec, payload), tol=1e-14)
     assert len(state) == 4
 
 
@@ -129,7 +130,7 @@ def test_apply_coin_gate_involution():
     payload = random_payload(np.random.default_rng(3), 1)
     s = build_initial(get_protocol("line1q"), payload)
     twice = apply_coin_gate(apply_coin_gate(s, "a_in", PAULI_X), "a_in", PAULI_X)
-    assert twice.allclose(s, tol=1e-12)
+    assert allclose(twice, s, tol=1e-12)
 
 
 def test_apply_coin_gate_bit_flips_restore_payload():
@@ -146,7 +147,7 @@ def test_apply_coin_gate_bit_flips_restore_payload():
     expected = superpose(
         targets, [((i, j), b[i] * a[j]) for i in (0, 1) for j in (0, 1)]
     )
-    assert after.allclose(expected, tol=1e-12)
+    assert allclose(after, expected, tol=1e-12)
 
 
 def test_apply_coin_gate_rejects_position_register():
@@ -218,7 +219,7 @@ def test_serialization_roundtrip_and_determinism():
     blob2 = json.dumps(run_walks(get_protocol("line1q"), payload).to_json_dict(), sort_keys=True)
     assert blob1 == blob2
     back = SparseState.from_json_dict(json.loads(blob1))
-    assert back.allclose(state, tol=1e-15)
+    assert allclose(back, state, tol=1e-15)
     labels = [e["label"] for e in state.to_json_dict()["amps"]]
     assert labels == sorted(labels)
 

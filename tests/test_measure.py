@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from walkport import measure
 from walkport.errors import (
@@ -29,15 +32,18 @@ from walkport.measure import (
     synthesize_table,
     synthesized_table,
 )
-from walkport.hilbert import SparseState
+from walkport.hilbert import RegisterLayout, SparseState
 from walkport.protocols import (
     PROTOCOL_IDS,
     Payload,
     PositionFamily,
+    bits_to_index,
     get_protocol,
     run_walks,
     seeded_payloads,
 )
+
+from test_spec_mutations import CASES as MUTATIONS
 
 LINE = get_protocol("line1q")
 
@@ -240,6 +246,11 @@ def test_table_serialization_roundtrip(warm_tables):
     assert back.protocol == table.protocol
 
 
+def _block(maps, b):
+    """``M_b`` as a dense ``dim x dim`` matrix."""
+    return maps.matrix[b * maps.dim : (b + 1) * maps.dim].toarray()
+
+
 def _pauli_matrix(ops, layout):
     """The listed Pauli string as a dense matrix, column by column from the engine."""
     dim = 1 << len(layout)
@@ -264,7 +275,7 @@ def test_corrected_branch_maps_are_the_swap(warm_tables, pid):
         swap[j * d + i, i * d + j] = 1.0
     weight = 0.0
     for b, key in enumerate(maps.keys):
-        product = _pauli_matrix(table.get(*key), maps.layout) @ maps.block(b)
+        product = _pauli_matrix(table.get(*key), maps.layout) @ _block(maps, b)
         lam = product[0, 0]
         assert np.abs(product - lam * swap).max() <= 1e-12
         weight += abs(lam) ** 2
@@ -369,3 +380,140 @@ def test_get_protocol_is_one_spec_per_configuration():
     assert get_protocol("line1q", bound=4) is get_protocol("line1q", 4)
     assert get_protocol("line1q", bound=4) is not LINE
     assert get_protocol("line1q", tol=1e-10) is not LINE
+
+
+def reference_branch_maps(spec):
+    """Branch maps by the sparse engine, branch by branch (the loop the
+    contraction replaced): column ``i*d + j`` is ``branch_finals`` of the
+    basis payloads ``(e_i, e_j)`` scaled back by the root of its probability."""
+    d = 1 << spec.qubits
+    basis = np.eye(d)
+    columns = {}
+    for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
+        for key, (prob, final) in branch_finals(spec, Payload(basis[i], basis[j])).items():
+            columns.setdefault(key, []).extend(
+                (bits_to_index(label), col, math.sqrt(prob) * amp)
+                for label, amp in final.amps.items()
+            )
+    keys = tuple(sorted(columns))
+    layout = RegisterLayout(spec.layout.register(name) for name in spec.target_coins)
+    dim = 1 << len(layout)
+    rows, cols, data = zip(
+        *((b * dim + r, c, v) for b, key in enumerate(keys) for r, c, v in columns[key])
+    )
+    matrix = sparse.csr_matrix(
+        (np.array(data, dtype=complex), (rows, cols)), shape=(len(keys) * dim, d * d)
+    )
+    return measure.BranchMaps(keys, matrix, layout, spec.tol)
+
+
+def reference_synthesis(spec, maps):
+    """Table synthesis block by block (the loop the vectorised pass replaced)."""
+    d = 1 << spec.qubits
+    idx = np.arange(maps.dim)
+    swap = (idx % d) * d + idx // d
+    bits = [1 << m for m in range(len(spec.target_coins))]
+    rows = {}
+    for b, key in enumerate(maps.keys):
+        block = _block(maps, b)[:, swap]
+        xmask = int(np.argmax(np.abs(block[:, 0])))
+        lam = block[xmask, 0]
+        zmask = sum(bit for bit in bits if (block[bit ^ xmask, bit] * lam.conjugate()).real < 0)
+        pauli = np.zeros_like(block)
+        pauli[idx ^ xmask, idx] = np.where(np.bitwise_count(idx & zmask) & 1, -1, 1)
+        if abs(lam) ** 2 < measure.VACUOUS_TOL or np.abs(block - lam * pauli).max() > measure.PAULI_TOL:
+            raise NoPauliCorrection(f"no Pauli string corrects branch {key}")
+        rows[key] = tuple(
+            (reg, measure.PAULI_OPS[bool(xmask & bit) + 2 * bool(zmask & bit)])
+            for reg, bit in zip(spec.target_coins, reversed(bits))
+            if (xmask | zmask) & bit
+        )
+    return CorrectionTable(spec.id, rows)
+
+
+COMPILE_CASES = {
+    **{pid: lambda pid=pid: get_protocol(pid) for pid in PROTOCOL_IDS},
+    "line1q-bound4": lambda: get_protocol("line1q", bound=4),
+    "line1q-tol": lambda: get_protocol("line1q", tol=1e-10),
+    "single2q-bound2": lambda: get_protocol("single2q", bound=2),
+    "line1q-members02": lambda: _with_families(LINE, *_members(_family(LINE, "02"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPILE_CASES))
+def test_contracted_maps_equal_the_engine_reference_bitwise(case):
+    spec = COMPILE_CASES[case]()
+    maps = measure.compile_branch_maps(spec)
+    reference = reference_branch_maps(spec)
+    assert maps.keys == reference.keys
+    assert (maps.layout, maps.tol, maps.matrix.shape) == (
+        reference.layout, reference.tol, reference.matrix.shape
+    )
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(maps.matrix, part), getattr(reference.matrix, part)), part
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_vectorised_synthesis_equals_the_blockwise_reference(warm_tables, pid):
+    spec = get_protocol(pid)
+    assert synthesize_table(spec).rows == reference_synthesis(spec, branch_maps(spec)).rows
+
+
+def _failing_key(synthesize):
+    with pytest.raises(NoPauliCorrection) as err:
+        synthesize()
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "pid, mutate", MUTATIONS, ids=[f"{pid}-{mutate.__name__}" for pid, mutate in MUTATIONS]
+)
+def test_mutated_specs_fail_on_the_same_key_as_the_blockwise_reference(pid, mutate):
+    spec = mutate(get_protocol(pid))
+    new = _failing_key(lambda: synthesize_table(spec))
+    assert new == _failing_key(lambda: reference_synthesis(spec, branch_maps(spec)))
+
+
+def test_first_failing_key_is_named_when_later_keys_fail_too(warm_tables):
+    # Measuring P1's members one by one: both outcomes fail on every coin.
+    spec = get_protocol("single2q")
+    spec = _with_families(spec, *_members(_family(spec, "P1")))
+    new = _failing_key(lambda: synthesize_table(spec))
+    assert new == _failing_key(lambda: reference_synthesis(spec, branch_maps(spec)))
+    assert new == f"no Pauli string corrects branch {branch_maps(spec).keys[0]}"
+
+
+def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
+    calls = {"run_walks": 0, "project": 0, "branch_finals": 0}
+
+    def counted(name):
+        original = getattr(measure, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(measure, name, counted(name))
+    for pid in ("line1q", "twostep2q"):
+        spec = get_protocol(pid)
+        before = calls["run_walks"]
+        measure.compile_branch_maps(spec)
+        assert calls["run_walks"] - before == 4**spec.qubits
+    assert (calls["project"], calls["branch_finals"]) == (0, 0)
+
+
+def test_compiling_a_two_qubit_protocol_peaks_under_10_mib():
+    # The scattered basis walks take 5.3 MB.  Contracting one position
+    # family at a time keeps every other array small; a dense stack of the
+    # 1,296 maps would be another 5.3 MB.
+    spec = get_protocol("single2q")
+    tracemalloc.start()
+    try:
+        measure.compile_branch_maps(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20

@@ -5,6 +5,7 @@ import json
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from states import normalized
 from walkport.hilbert import (
     HADAMARD,
     PAULI_X,
@@ -40,7 +41,7 @@ def amplitudes_strategy():
 
 def states_strategy(max_terms=6):
     return st.dictionaries(labels_strategy(), amplitudes_strategy(), min_size=1, max_size=max_terms).map(
-        lambda amps: superpose(LAYOUT, list(amps.items())).normalized()
+        lambda amps: normalized(superpose(LAYOUT, list(amps.items())))
     )
 
 

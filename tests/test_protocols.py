@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import chains
+from states import is_normalized
 from walkport.errors import NotNormalized, ShapeMismatch
 from walkport.hilbert import HADAMARD
 from walkport.protocols import (
@@ -132,7 +133,7 @@ def test_build_initial_single2q_matches_kron():
     bob = np.array([1.0, 0.0, 0.0, 0.0])
     state = build_initial(spec, Payload(alice, bob))
     assert len(state) == 4
-    assert state.is_normalized()
+    assert is_normalized(state)
     for i in range(4):
         label = (0, 0, 0, 0, i >> 1, i & 1, 0, 0, 0, 0, 0, 0)
         assert abs(state.amplitude(label) - alice[i]) < 1e-12
@@ -174,7 +175,7 @@ def test_every_step_preserves_normalization():
         spec = get_protocol(pid)
         payload = random_payload(np.random.default_rng(13), spec.qubits)
         for state in walk_states(spec, payload):
-            assert state.is_normalized()
+            assert is_normalized(state)
 
 
 @pytest.mark.parametrize(
