@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import equivalence, measure, oracle
-from .errors import NoPauliCorrection, WalkportError
+from .errors import MappingIncomplete, NoPauliCorrection, WalkportError
 from .protocols import (
     DEFAULT_BOUND,
     PROTOCOL_IDS,
@@ -547,8 +547,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except WalkportError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        # A branch that no Pauli string corrects is a failed protocol claim.
-        return EXIT_VERIFY if isinstance(exc, NoPauliCorrection) else EXIT_CONFIG
+        # A branch that no Pauli string corrects, or branch maps that do not
+        # pair two protocols' outcomes, is a failed protocol claim.
+        failed = isinstance(exc, (NoPauliCorrection, MappingIncomplete))
+        return EXIT_VERIFY if failed else EXIT_CONFIG
 
 
 def entry() -> None:

@@ -1,19 +1,22 @@
 """Machine checks of the cross-protocol claims.
 
 Two claims are checked: the single-step and two-step two-qubit protocols
-are the same protocol under a bijection between their position families,
+are the same protocol under a bijection between their position outcomes,
 and the 4-cycle protocol is the line protocol with positions reduced mod 4.
-The two-qubit claim is verified branch by branch on random payloads, the
-cycle-line claim on the difference of the two compiled walk maps applied
-to random payloads, and both table row by table row.  The checks report
-deltas rather than trusting structure.
+The two-qubit bijection is derived, not assumed: it pairs the outcomes
+whose compiled branch maps are bitwise equal, and the check fails unless
+each outcome has exactly one partner.  Equal maps give equal branches for
+every payload, so the loop over random payloads scores the two correction
+tables on the paired branches.  The cycle-line claim is checked on the
+difference of the two compiled walk maps applied to random payloads.  Both
+claims also compare their tables row by row, and the checks report deltas
+rather than trusting structure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,50 +33,6 @@ from .measure import (
 from .protocols import Payload, ProtocolSpec, check_payload, get_protocol, run_walks
 
 EQUIV_TOL = 1e-10
-
-# Family sizes shared by the two two-qubit plans, origin family first.
-FAMILY_SIZES = (1, 2, 2, 4, 2, 4, 4, 8, 2, 4, 4, 8, 4, 8, 8, 16)
-
-
-@dataclass(frozen=True)
-class BasisMapping:
-    """Pairing of position families across two protocols, member by member."""
-
-    pairs: tuple[tuple[str, str, tuple[tuple[Label, Label], ...]], ...]
-
-    def outcome_pairs(self) -> list[tuple[str, str]]:
-        names = []
-        for src, dst, members in self.pairs:
-            if len(members) == 1:
-                names.append((src, dst))
-            else:
-                names.extend(
-                    (f"{src}:{r}", f"{dst}:{r}") for r in range(len(members))
-                )
-        return names
-
-
-def two_qubit_mapping(
-    single: ProtocolSpec | None = None, twostep: ProtocolSpec | None = None
-) -> BasisMapping:
-    """Rank-order bijection between the two-qubit plans' families."""
-    single = single or get_protocol("single2q")
-    twostep = twostep or get_protocol("twostep2q")
-    src = {f.name: f for f in single.position_families}
-    dst = {f.name: f for f in twostep.position_families}
-    pairs = []
-    for k, size in enumerate(FAMILY_SIZES):
-        sname, tname = f"P{k}", f"Q{k}"
-        if sname not in src or tname not in dst:
-            raise MappingIncomplete(f"missing family pair ({sname}, {tname})")
-        p, q = src[sname], dst[tname]
-        if len(p.members) != size or len(q.members) != size:
-            raise MappingIncomplete(
-                f"family pair ({sname}, {tname}) sizes "
-                f"{len(p.members)}/{len(q.members)} != {size}"
-            )
-        pairs.append((sname, tname, tuple(zip(p.members, q.members))))
-    return BasisMapping(tuple(pairs))
 
 
 def phase_aligned_delta(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -129,24 +88,48 @@ def _mismatched_rows(outcome_pairs, left, right) -> tuple[tuple[str, str, str], 
 
 
 @functools.cache
-def mapped_branch_rows(
-    single: ProtocolSpec, twostep: ProtocolSpec, mapping: BasisMapping
+def outcome_bijection(
+    single: ProtocolSpec, twostep: ProtocolSpec
 ) -> tuple[list[tuple[str, str, str]], np.ndarray, np.ndarray]:
-    """The mapped branch pairs as (single outcome, twostep outcome, coin) names
-    and the two row-index arrays into each protocol's branches.
+    """The position outcomes paired by bitwise-equal branch maps.
 
-    Pairs run over the mapping's outcome pairs, then the coins in sorted
-    order.  Cached per (spec, spec, mapping).
+    Keys are sorted and every outcome has every coin, so an outcome's
+    branches are one contiguous CSR slice of ``branch_maps(spec).matrix``.
+    Its key is the coins and the slice's (relative ``indptr``, ``indices``,
+    ``data``) bytes.  Returns the paired branches as (single outcome,
+    twostep outcome, coin) names, in single's family order and then sorted
+    coin order, and the two row-index arrays into each protocol's branches.
+    Raises ``MappingIncomplete`` unless every outcome on both sides has
+    exactly one partner.  Cached per (spec, spec).
     """
-    rows_s = {key: b for b, key in enumerate(branch_maps(single).keys)}
-    rows_t = {key: b for b, key in enumerate(branch_maps(twostep).keys)}
-    coins = sorted({coin for _, coin in rows_s})
-    names = [(src, dst, coin) for src, dst in mapping.outcome_pairs() for coin in coins]
-    try:
-        si = np.array([rows_s[src, coin] for src, _, coin in names], dtype=int)
-        ti = np.array([rows_t[dst, coin] for _, dst, coin in names], dtype=int)
-    except KeyError as exc:
-        raise MappingIncomplete(f"no branch {exc.args[0]} for the mapping") from None
+    groups: dict[tuple, tuple[list[str], list[str]]] = {}
+    rows = []
+    for side, spec in enumerate((single, twostep)):
+        maps = branch_maps(spec)
+        m, dim = maps.matrix, maps.dim
+        rows.append({key: b for b, key in enumerate(maps.keys)})
+        coins = tuple(sorted({coin for _, coin in maps.keys}))
+        for family in spec.position_families:
+            for outcome in map(family.outcome_name, range(family.outcome_count)):
+                b = rows[side][outcome, coins[0]]
+                ptr = m.indptr[b * dim : (b + len(coins)) * dim + 1]
+                span = slice(ptr[0], ptr[-1])
+                slices = (ptr - ptr[0], m.indices[span], m.data[span])
+                key = (coins, *(a.tobytes() for a in slices))
+                groups.setdefault(key, ([], []))[side].append(outcome)
+    for singles, twosteps in groups.values():
+        if len(singles) != 1 or len(twosteps) != 1:
+            raise MappingIncomplete(
+                f"the branch maps pair {single.id} outcomes {singles} with "
+                f"{twostep.id} outcomes {twosteps}; each needs exactly one partner"
+            )
+    names = [
+        (src, dst, coin)
+        for (coins, *_), ((src,), (dst,)) in groups.items()
+        for coin in coins
+    ]
+    si = np.array([rows[0][src, coin] for src, _, coin in names], dtype=int)
+    ti = np.array([rows[1][dst, coin] for _, dst, coin in names], dtype=int)
     return names, si, ti
 
 
@@ -159,8 +142,8 @@ def check_two_qubit_equivalence(
     """Compare every mapped branch pair and the two synthesized tables."""
     single = get_protocol("single2q")
     twostep = get_protocol("twostep2q")
-    mapping = two_qubit_mapping(single, twostep)
-    outcome_pairs = mapping.outcome_pairs()
+    names, si, ti = outcome_bijection(single, twostep)
+    outcome_pairs = tuple(dict.fromkeys((src, dst) for src, dst, _ in names))
     table_s = single_table if single_table is not None else synthesized_table(single)
     table_t = twostep_table if twostep_table is not None else synthesized_table(twostep)
 
@@ -170,7 +153,6 @@ def check_two_qubit_equivalence(
         ("twostep", table_t, twostep.target_coins),
     )
 
-    names, si, ti = mapped_branch_rows(single, twostep, mapping)
     max_dp = 0.0
     max_ds = 0.0
     branch_mismatches = []

@@ -71,7 +71,7 @@ class NoPauliCorrection(WalkportError):
 
 
 class MappingIncomplete(WalkportError):
-    """A cross-protocol basis mapping does not cover both plans."""
+    """Two protocols' branch maps do not pair their outcomes one to one."""
 
 
 class DimensionOverflow(WalkportError):

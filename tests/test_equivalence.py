@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,19 +8,35 @@ from walkport import cli, equivalence, measure
 from walkport.errors import MappingIncomplete, NoPauliCorrection
 from walkport.protocols import PositionFamily, get_protocol, run_walks, seeded_payloads
 
-from test_spec_mutations import first_jump_off_by_one
+from test_spec_mutations import CASES, first_jump_off_by_one
 
 
-def test_family_size_ledger():
-    mapping = equivalence.two_qubit_mapping()
-    sizes = tuple(len(members) for _, _, members in mapping.pairs)
-    assert sizes == equivalence.FAMILY_SIZES
-    assert sizes[1:] == (2, 2, 4, 2, 4, 4, 8, 2, 4, 4, 8, 4, 8, 8, 16)
+def two_qubit_mapping():
+    """The hand pairing the derivation replaced, as a reference.
+
+    Family ``P{k}`` of single2q pairs with ``Q{k}`` of twostep2q, member by
+    member in rank order; each entry is (single family, twostep family,
+    member pairs).
+    """
+    src = {f.name: f for f in get_protocol("single2q").position_families}
+    dst = {f.name: f for f in get_protocol("twostep2q").position_families}
+    return tuple(
+        (f"P{k}", f"Q{k}", tuple(zip(src[f"P{k}"].members, dst[f"Q{k}"].members, strict=True)))
+        for k in range(16)
+    )
+
+
+def hand_outcome_pairs(mapping):
+    """The (single outcome, twostep outcome) pairs of a hand mapping, in its order."""
+    return [
+        (src, dst) if len(members) == 1 else (f"{src}:{r}", f"{dst}:{r}")
+        for src, dst, members in mapping
+        for r in range(len(members))
+    ]
 
 
 def test_member_bijection_structure():
-    mapping = equivalence.two_qubit_mapping()
-    pairs = {src: members for src, _, members in mapping.pairs}
+    pairs = {src: members for src, _, members in two_qubit_mapping()}
     # Alice displaced on her second walker only <-> unit displacement.
     assert pairs["P1"] == (
         ((0, -2, 0, 0), (-1, 0)),
@@ -34,13 +51,93 @@ def test_member_bijection_structure():
     )
 
 
-def test_mapping_incomplete_detected():
-    single = get_protocol("single2q")
-    trimmed = dataclasses.replace(
-        single, position_families=single.position_families[:-1]
-    )
+def test_derived_bijection_equals_the_hand_pairing(warm_tables):
+    single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
+    names, si, ti = equivalence.outcome_bijection(single, twostep)
+    pairs = list(dict.fromkeys((src, dst) for src, dst, _ in names))
+    assert pairs == hand_outcome_pairs(two_qubit_mapping())
+    assert len(pairs) == 81 and len(names) == 81 * 16
+    maps_s, maps_t = measure.branch_maps(single), measure.branch_maps(twostep)
+    assert [maps_s.keys[b] for b in si] == [(src, coin) for src, _, coin in names]
+    assert [maps_t.keys[b] for b in ti] == [(dst, coin) for _, dst, coin in names]
+    # The paired branch maps are bitwise equal, so they agree on every payload.
+    rows = np.arange(maps_s.dim)
+    block_s = maps_s.matrix[(si[:, None] * maps_s.dim + rows).ravel()]
+    block_t = maps_t.matrix[(ti[:, None] * maps_t.dim + rows).ravel()]
+    assert (block_s != block_t).nnz == 0
+
+
+def test_mapping_incomplete_detected(warm_tables):
+    single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
+    trimmed = {
+        spec.id: dataclasses.replace(spec, position_families=spec.position_families[:-1])
+        for spec in (single, twostep)
+    }
+    # The outcomes of the dropped family lose their partners, on either side.
+    with pytest.raises(MappingIncomplete, match=r"\[\] with twostep2q outcomes \['Q15:0'\]"):
+        equivalence.outcome_bijection(trimmed["single2q"], twostep)
+    with pytest.raises(MappingIncomplete, match=r"\['P15:0'\] with twostep2q outcomes \[\]"):
+        equivalence.outcome_bijection(single, trimmed["twostep2q"])
+
+
+TWO_QUBIT_MUTATIONS = [(pid, mutate) for pid, mutate in CASES if pid in ("single2q", "twostep2q")]
+
+
+@pytest.mark.parametrize(
+    "pid, mutate",
+    TWO_QUBIT_MUTATIONS,
+    ids=[f"{pid}-{mutate.__name__}" for pid, mutate in TWO_QUBIT_MUTATIONS],
+)
+def test_spec_mutations_break_the_derived_bijection(warm_tables, pid, mutate):
+    specs = {p: get_protocol(p) for p in ("single2q", "twostep2q")}
+    specs[pid] = mutate(specs[pid])
     with pytest.raises(MappingIncomplete):
-        equivalence.two_qubit_mapping(trimmed, get_protocol("twostep2q"))
+        equivalence.outcome_bijection(specs["single2q"], specs["twostep2q"])
+
+
+def test_outcome_bijection_requires_distinct_maps(warm_tables):
+    single = get_protocol("single2q")
+    names, si, ti = equivalence.outcome_bijection(single, single)
+    assert (si == ti).all() and len(names) == 81 * 16
+    # Its first jump off by one, single2q has only 54 distinct maps for 81
+    # outcomes, so even paired with itself two outcomes share one map.
+    mutated = first_jump_off_by_one(single)
+    with pytest.raises(MappingIncomplete, match=r"\['P2:0', 'P2:1'\] with single2q"):
+        equivalence.outcome_bijection(mutated, mutated)
+
+
+def test_unpaired_branch_maps_exit_1_without_a_traceback(warm_tables, monkeypatch, capsys):
+    mutated = first_jump_off_by_one(get_protocol("twostep2q"))
+    monkeypatch.setattr(
+        equivalence, "get_protocol", lambda pid: mutated if pid == "twostep2q" else get_protocol(pid)
+    )
+    assert cli.main(["equiv", "two-qubit", "--count", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: MappingIncomplete: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_outcome_bijection_is_derived_once_per_process(warm_tables, tmp_path):
+    equivalence.outcome_bijection.cache_clear()
+    argv = ["equiv", "two-qubit", "--count", "1", "--out", str(tmp_path / "report.json")]
+    for _ in range(2):
+        assert cli.main(argv) == 0
+    info = equivalence.outcome_bijection.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_deriving_the_bijection_peaks_under_2_mib(warm_tables):
+    single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
+    measure.branch_maps(single), measure.branch_maps(twostep)
+    equivalence.outcome_bijection.cache_clear()
+    tracemalloc.start()
+    try:
+        equivalence.outcome_bijection(single, twostep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_two_qubit_equivalence_holds(warm_tables):
@@ -86,14 +183,15 @@ def test_mapped_table_comparison_is_cached_per_table_pair(warm_tables):
 
 
 def rowwise_two_qubit_equivalence(
-    payloads, mapping=None, tol=equivalence.EQUIV_TOL, single_table=None, twostep_table=None
+    payloads, tol=equivalence.EQUIV_TOL, single_table=None, twostep_table=None
 ):
-    """The branch-by-branch loop check_two_qubit_equivalence replaced, as a reference."""
+    """The branch-by-branch loop check_two_qubit_equivalence replaced, as a reference.
+
+    It pairs the branches through the hand pairing, not the derived one.
+    """
     single = get_protocol("single2q")
     twostep = get_protocol("twostep2q")
-    if mapping is None:
-        mapping = equivalence.two_qubit_mapping(single, twostep)
-    outcome_pairs = mapping.outcome_pairs()
+    outcome_pairs = hand_outcome_pairs(two_qubit_mapping())
     table_s = single_table if single_table is not None else measure.synthesized_table(single)
     table_t = twostep_table if twostep_table is not None else measure.synthesized_table(twostep)
     table_mismatches = equivalence.mapped_table_mismatches(
@@ -204,15 +302,6 @@ def test_columnar_two_qubit_check_zeroes_pairs_that_are_both_vacuous(warm_tables
     assert 0 < deltas.count(0.0) < len(deltas)
     assert report["max_state_delta"] == first["max_state_delta"] > 1e-3
     assert report["max_probability_delta"] == first["max_probability_delta"] > 1e-3
-
-
-def test_mapped_branch_rows_reject_an_unknown_outcome(warm_tables):
-    single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
-    mapping = equivalence.two_qubit_mapping(single, twostep)
-    (src, dst, members), *rest = mapping.pairs
-    bogus = equivalence.BasisMapping(((src + "x", dst, members), *rest))
-    with pytest.raises(MappingIncomplete):
-        equivalence.mapped_branch_rows(single, twostep, bogus)
 
 
 def test_cycle_line_equivalence_holds(warm_tables):
