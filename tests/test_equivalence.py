@@ -182,6 +182,18 @@ def test_mapped_table_comparison_is_cached_per_table_pair(warm_tables):
     assert equivalence._mismatched_rows.cache_info().misses == 2
 
 
+def test_mapped_branch_rows_reject_an_unknown_outcome(warm_tables):
+    single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
+    names, _, _ = equivalence.outcome_bijection(single, twostep)
+    (src, dst), *rest = dict.fromkeys((s, d) for s, d, _ in names)
+    with pytest.raises(MappingIncomplete, match=rf"table row missing for \({src}x, {dst}, "):
+        equivalence.mapped_table_mismatches(
+            ((src + "x", dst), *rest),
+            ("single", measure.synthesized_table(single), single.target_coins),
+            ("twostep", measure.synthesized_table(twostep), twostep.target_coins),
+        )
+
+
 def rowwise_two_qubit_equivalence(
     payloads, tol=equivalence.EQUIV_TOL, single_table=None, twostep_table=None
 ):
