@@ -7,14 +7,17 @@ encoding of its basis label.  ``dense_run`` applies the matrices to the
 state's support only: it keeps the sorted flat indices of the nonzero
 amplitudes and their values, and each step gathers the matrix columns of
 those indices.  Its cost follows the support (at most 256 terms here), not
-the dimension of the space (1,679,616 for ``single2q``).
+the dimension of the space.
 
-Truncated lattices are embedded cyclically here: the shift factor is the
-cyclic permutation of the 2B+1 lattice values, which keeps every step
-matrix exactly unitary.  The embedding is faithful because no protocol run
-ever reaches the truncation edge with a further move pending; the entrywise
-agreement checks against the sparse engine (which hard-errors at the
-boundary instead) would expose any wraparound.
+The truncation is derived from the spec, not tabulated: a lattice walker's
+reach is the sum, over the steps, of the largest |jump| among the shift
+rules that move it, and the oracle rebuilds the protocol with the largest
+reach as its half-width.  Truncated lattices are embedded cyclically: the
+shift factor is the cyclic permutation of the 2B+1 lattice values, which
+keeps every step matrix exactly unitary.  The embedding is faithful by
+construction: a walker can reach the truncation edge only on its last
+move, so no shift ever wraps.  A spec without a lattice register (the
+4-cycle) is used as it is.
 """
 
 from __future__ import annotations
@@ -27,14 +30,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionOverflow
-from .hilbert import COIN, LATTICE, PRUNE_TOL, Label, Register, RegisterLayout, SparseState
+from .hilbert import COIN, LATTICE, PRUNE_TOL, Register, RegisterLayout, SparseState
 from .protocols import Payload, ProtocolSpec, get_protocol
+from .walkops import WalkStep
 
 DIM_CAP = 1 << 26
-
-# Truncation half-widths sufficient for each protocol's reachable positions,
-# with the cycle protocol keeping its native modulus.
-ORACLE_BOUNDS = {"line1q": 4, "cycle1q": None, "single2q": 4, "twostep2q": 4}
 
 
 def layout_dim(layout: RegisterLayout) -> int:
@@ -54,21 +54,6 @@ def check_dim(layout: RegisterLayout) -> int:
 def value_index(reg: Register, value: int) -> int:
     """Position of a register value along its dense axis."""
     return value + reg.size if reg.kind == LATTICE else value
-
-
-def label_to_index(layout: RegisterLayout, label: Label) -> int:
-    idx = 0
-    for reg, value in zip(layout.registers, label):
-        idx = idx * reg.dim + value_index(reg, value)
-    return idx
-
-
-def densify(state: SparseState) -> np.ndarray:
-    dim = check_dim(state.layout)
-    vec = np.zeros(dim, dtype=complex)
-    for label, amp in state.amps.items():
-        vec[label_to_index(state.layout, label)] = amp
-    return vec
 
 
 def support_state(
@@ -92,13 +77,26 @@ def sparsify(vec: np.ndarray, layout: RegisterLayout, tol: float = 1e-12) -> Spa
     return support_state(layout, indices, vec[indices], tol)
 
 
-def oracle_spec(protocol_id: str, bound: int | None = None) -> ProtocolSpec:
-    """The protocol rebuilt on the oracle's (smaller) truncation."""
-    if bound is None:
-        bound = ORACLE_BOUNDS[protocol_id]
-    if bound is None:
-        return get_protocol(protocol_id)
-    return get_protocol(protocol_id, bound)
+def reach(spec: ProtocolSpec) -> int | None:
+    """The farthest any lattice walker of ``spec`` gets from the origin.
+
+    A walker's reach is the sum, over the steps, of the largest |jump|
+    among the shift rules that move it.  None when no register is a lattice.
+    """
+
+    def largest_jump(step: WalkStep, position: str) -> int:
+        jumps = [abs(j) for cs in step.shifts if cs.position == position for j in cs.rule.values()]
+        return max(jumps, default=0)
+
+    lattices = [reg.name for reg in spec.layout if reg.kind == LATTICE]
+    return max((sum(largest_jump(step, name) for step in spec.steps) for name in lattices), default=None)
+
+
+def oracle_spec(protocol_id: str) -> ProtocolSpec:
+    """The protocol rebuilt on the truncation its shift rules prove sufficient."""
+    spec = get_protocol(protocol_id)
+    bound = reach(spec)
+    return spec if bound is None else get_protocol(protocol_id, bound)
 
 
 def shift_factor(reg: Register, step: int) -> sp.csc_matrix:

@@ -444,14 +444,18 @@ VERB_FLAGS = {
 
 @st.composite
 def fuzz_argv(draw):
-    """A CLI argv for the fast protocols, mostly with the verb's own flags."""
+    """A CLI argv for the fast protocols, mostly with the verb's own flags.
+
+    ``oracle-check`` may name no protocol, which checks all four.
+    """
     verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
     protocol = st.sampled_from(("line1q", "cycle1q"))
     argv = [verb]
     if verb == "equiv":
         argv.append(draw(st.sampled_from(("two-qubit", "cycle-line"))))
-    elif verb == "oracle-check" or draw(st.booleans()):
-        # oracle-check with no protocol would check all four, the slow two-qubit ones too.
+    elif verb == "oracle-check":
+        argv += draw(st.lists(protocol, max_size=1))
+    elif draw(st.booleans()):
         argv.append(draw(protocol))
     else:
         argv += ["--protocol", draw(protocol)]
@@ -526,6 +530,7 @@ WRITER_ARGV = [
     ("equiv", "cycle-line", "--count", "1", "--corrupt-table", "00"),
     ("run", "line1q", "--alice", "0.6:0,0:0.8", "--bob", "1.000000001,0"),
     ("run", "single2q", "--alice", "0.5,0.5,0.5,0.5", "--bob", "0,0:1,0,0"),
+    ("oracle-check", "--count", "1"),
 ]
 
 

@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 import chains
-from states import allclose
+from states import allclose, densify, label_to_index
+from test_spec_mutations import first_jump_off_by_one
 from walkport import oracle
 from walkport.errors import DimensionOverflow
 from walkport.hilbert import COIN, RegisterLayout, lattice
@@ -23,15 +24,15 @@ from walkport.protocols import (
 def test_densify_one_hot_indexing():
     spec = oracle.oracle_spec("line1q")
     state = build_initial(spec, random_payload(np.random.default_rng(0), 1))
-    # Origin label sits at the index encoding (B, B, i, 0, j, 0).
-    vec = oracle.densify(state)
-    idx = oracle.label_to_index(spec.layout, (0, 0, 0, 0, 0, 0))
+    # Origin label sits at the index encoding (B, B, i, 0, j, 0), with B = 2.
+    vec = densify(state)
+    idx = label_to_index(spec.layout, (0, 0, 0, 0, 0, 0))
     assert abs(vec[idx] - state.amplitude((0, 0, 0, 0, 0, 0))) < 1e-15
     dim = oracle.layout_dim(spec.layout)
     indices = np.array([0, idx, dim - 1])
     back = oracle.support_state(spec.layout, indices, np.array([1.0, 2.0, 3.0]), 1e-12)
-    assert list(back.amps) == [(-4, -4, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (4, 4, 1, 1, 1, 1)]
-    assert [oracle.label_to_index(spec.layout, label) for label in back.amps] == indices.tolist()
+    assert list(back.amps) == [(-2, -2, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (2, 2, 1, 1, 1, 1)]
+    assert [label_to_index(spec.layout, label) for label in back.amps] == indices.tolist()
 
 
 def test_densify_sparsify_roundtrip_random_vectors():
@@ -40,14 +41,14 @@ def test_densify_sparsify_roundtrip_random_vectors():
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
-    back = oracle.densify(oracle.sparsify(vec, spec.layout, tol=0.0))
+    back = densify(oracle.sparsify(vec, spec.layout, tol=0.0))
     assert np.abs(back - vec).max() < 1e-14
 
 
 def test_final_state_roundtrips_with_16_nonzeros():
     spec = get_protocol("line1q")
     state = run_walks(spec, random_payload(np.random.default_rng(2), 1))
-    vec = oracle.densify(state)
+    vec = densify(state)
     assert int(np.count_nonzero(np.abs(vec) > 1e-12)) == 16
     assert allclose(oracle.sparsify(vec, spec.layout), state, tol=1e-14)
 
@@ -58,10 +59,52 @@ def test_dimension_cap():
         oracle.check_dim(layout)
 
 
+# Per lattice protocol: the half-width its shift rules give, and the oracle's dimension.
+DERIVED_TRUNCATIONS = {"line1q": (2, 400), "single2q": (2, 160_000), "twostep2q": (4, 20_736)}
+
+
+def test_truncation_is_derived_from_the_shift_rules():
+    for pid, (bound, dim) in DERIVED_TRUNCATIONS.items():
+        assert oracle.reach(get_protocol(pid)) == bound
+        assert oracle.oracle_spec(pid) is get_protocol(pid, bound)
+        assert oracle.layout_dim(oracle.oracle_spec(pid).layout) == dim
+    assert oracle.reach(get_protocol("cycle1q")) is None
+    assert oracle.oracle_spec("cycle1q") is get_protocol("cycle1q")
+    assert oracle.layout_dim(oracle.oracle_spec("cycle1q").layout) == 256
+
+
+def test_reach_follows_a_mutated_shift_rule():
+    # A +-1 jump that becomes +-2 widens the reach; a +-2 jump that becomes
+    # +-1 leaves the larger jump of the same rule as the maximum.
+    for pid, reach in (("line1q", 3), ("single2q", 3), ("twostep2q", 4)):
+        assert oracle.reach(first_jump_off_by_one(get_protocol(pid))) == reach
+
+
+@pytest.mark.parametrize("pid", DERIVED_TRUNCATIONS)
+def test_one_more_site_changes_no_bit(pid):
+    bound = oracle.reach(get_protocol(pid))
+    derived, wider = get_protocol(pid, bound), get_protocol(pid, bound + 1)
+    for k in range(4):
+        assert oracle.cached_unitarity_defect(derived, k) == oracle.cached_unitarity_defect(wider, k)
+    for payload in seeded_payloads(13, 5, derived.qubits):
+        got, want = oracle.dense_run(derived, payload), oracle.dense_run(wider, payload)
+        assert list(got.amps) == list(want.amps)
+        assert [_bits(a) for a in got.amps.values()] == [_bits(a) for a in want.amps.values()]
+
+
+@pytest.mark.parametrize("pid", DERIVED_TRUNCATIONS)
+def test_one_site_short_disagrees_with_the_engine(pid):
+    # Negative control: one site short of the reach, a walker wraps around.
+    spec = get_protocol(pid)
+    short = get_protocol(pid, oracle.reach(spec) - 1)
+    for payload in seeded_payloads(13, 5, spec.qubits):
+        assert oracle.dense_run(short, payload).max_delta(run_walks(spec, payload)) > 1e-10
+
+
 def test_step_matrix_reproduces_first_transition():
     spec = oracle.oracle_spec("line1q")
     payload = random_payload(np.random.default_rng(3), 1)
-    vec = oracle.densify(build_initial(spec, payload))
+    vec = densify(build_initial(spec, payload))
     out = oracle.cached_step_matrix(spec, 0) @ vec
     expected = chains.expected_state(chains.LINE_STAGE1, payload, 1.0)
     got = oracle.sparsify(out, spec.layout)
@@ -95,7 +138,7 @@ def test_defect_computed_once_per_protocol_bound_and_step(fresh_defect_cache, mo
         return 0.0
 
     monkeypatch.setattr(oracle, "unitarity_defect", counting)
-    small, large = oracle.oracle_spec("line1q", 3), oracle.oracle_spec("line1q", 4)
+    small, large = get_protocol("line1q", 3), get_protocol("line1q", 4)
     for _ in range(2):
         for spec in (small, large):
             for k in range(4):
@@ -229,7 +272,7 @@ def test_dense_path_matches_sparse_engine(pid):
 def test_matrix_product_equals_run_walks():
     spec = oracle.oracle_spec("line1q")
     payload = random_payload(np.random.default_rng(4), 1)
-    vec = oracle.densify(build_initial(spec, payload))
+    vec = densify(build_initial(spec, payload))
     for k in range(4):
         vec = oracle.cached_step_matrix(spec, k) @ vec
     final = run_walks(get_protocol("line1q"), payload)
