@@ -9,8 +9,9 @@ payloads.
 
 Every step from the payloads to a branch residual is linear, so each
 branch compiles, once, to a small matrix of ``alice ⊗ bob``.  The sparse
-engine walks the basis payloads; the projections are then one tensor
-contraction per position family (``compile_branch_maps``).  Verifying a
+engine walks the basis payloads; every projection then follows from one
+sparse product of the measurement weights with those walks
+(``compile_branch_maps``).  Verifying a
 payload is one sparse mat-vec.  ``project`` and ``branch_finals`` measure
 one state branch by branch; they remain as the reference the compiled maps
 are tested against.  Correction tables are read off the maps in one
@@ -307,7 +308,7 @@ def expected_output(spec: ProtocolSpec, payload: Payload) -> SparseState:
     for bits in itertools.product((0, 1), repeat=2 * q):
         amp = payload.bob[bits_to_index(bits[:q])] * payload.alice[bits_to_index(bits[q:])]
         amps[bits] = amp
-    return SparseState(layout, amps, spec.tol)
+    return SparseState(layout, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,13 +326,12 @@ class BranchResult:
     fidelity: float
     vacuous: bool
     layout: RegisterLayout
-    tol: float
 
     @property
     def corrected(self) -> SparseState:
         """``vector`` as a sparse state on the target-coin layout."""
         labels = itertools.product((0, 1), repeat=len(self.layout))
-        return SparseState(self.layout, dict(zip(labels, self.vector.tolist())), self.tol)
+        return SparseState(self.layout, dict(zip(labels, self.vector.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +348,6 @@ class Branches:
     vacuous: np.ndarray
     vectors: np.ndarray
     layout: RegisterLayout
-    tol: float
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -362,7 +361,7 @@ class Branches:
             self.vacuous.tolist(),
         )
         for (position, coin), prob, vector, fidelity, vac in columns:
-            yield BranchResult(position, coin, prob, vector, fidelity, vac, self.layout, self.tol)
+            yield BranchResult(position, coin, prob, vector, fidelity, vac, self.layout)
 
 
 def branch_finals(
@@ -398,7 +397,6 @@ class BranchMaps:
     keys: tuple[tuple[str, str], ...]
     matrix: sparse.csr_matrix
     layout: RegisterLayout
-    tol: float
 
     @property
     def dim(self) -> int:
@@ -406,16 +404,15 @@ class BranchMaps:
 
 
 def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
-    """Build every branch map by one contraction per position family.
+    """Build every branch map as one sparse product ``(Wp ⊗ Wc) · F``.
 
     Walk steps and projections are linear and the payloads enter only
     through ``alice ⊗ bob``, so column ``i*d + j`` of ``M_b`` is branch b's
     unnormalized residual for the basis payloads ``(e_i, e_j)``.  The basis
-    walks are scattered into one dense array
-    ``S[member, measured-coin bits, target bits, column]``, skipping
-    positions outside every family.  A family's branches are then its
-    sign-pattern weights contracted over its members, and the coin weights
-    over the measured-coin bits.
+    walks fill a sparse ``F[(member, measured-coin bits), (target bits,
+    column)]``, skipping positions outside every family.  ``Wp`` stacks each
+    family's sign-pattern weights block by block and ``Wc`` holds the coin
+    weights, so every branch is one row of the product.
     """
     d = 1 << spec.qubits
     basis = np.eye(d)
@@ -423,41 +420,31 @@ def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
     positions = layout.subset(spec.measured_positions)
     coins = layout.subset(spec.measured_coins)
     targets = layout.subset(spec.target_coins)
-    member_row: dict[Label, int] = {}
-    for family in spec.position_families:
-        for member in family.members:
-            member_row.setdefault(member, len(member_row))
-    shape = (len(member_row), 1 << len(coins), 1 << len(targets), d * d)
-    finals = np.zeros(shape, dtype=complex)
+    families = spec.position_families
+    member_row = {m: k for k, m in enumerate(m for f in families for m in f.members)}
+    coin_dim, dim = 1 << len(coins), 1 << len(targets)
+    finals = sparse.dok_matrix((len(member_row) * coin_dim, dim * d * d), dtype=complex)
     for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
         for label, amp in run_walks(spec, Payload(basis[i], basis[j])).amps.items():
             row = member_row.get(tuple(label[k] for k in positions))
             if row is not None:
                 c = bits_to_index(tuple(label[k] for k in coins))
                 t = bits_to_index(tuple(label[k] for k in targets))
-                finals[row, c, t, col] = amp
+                finals[row * coin_dim + c, t * d * d + col] = amp
 
     # Projector terms run over the members, and over the coin bits in index order.
+    pos_projs = [position_projectors(f) for f in families]
     coin_projs = coin_projectors(spec)
-    wc = np.array([[w.conjugate() for _, w in p.terms] for p in coin_projs])
-    families = [(f, position_projectors(f)) for f in spec.position_families]
-    keys = tuple(
-        sorted((p.name, c.name) for _, projs in families for p in projs for c in coin_projs)
+    wp = sparse.block_diag(
+        [[[w.conjugate() for _, w in p.terms] for p in projs] for projs in pos_projs]
     )
-    branch_index = {key: b for b, key in enumerate(keys)}
-    dim = shape[2]
-    entries = []
-    for family, projs in families:
-        wp = np.array([[w.conjugate() for _, w in p.terms] for p in projs])
-        members = finals[[member_row[member] for member in family.members]]
-        chunk = np.einsum("cm,rmtk->rctk", wc, np.tensordot(wp, members, axes=(1, 0)))
-        r, c, t, k = np.nonzero(chunk)
-        branch = np.array([[branch_index[p.name, q.name] for q in coin_projs] for p in projs])
-        entries.append((branch[r, c] * dim + t, k, chunk[r, c, t, k]))
-    rows, cols, data = (np.concatenate(column) for column in zip(*entries))
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(len(keys) * dim, d * d))
+    wc = np.array([[w.conjugate() for _, w in p.terms] for p in coin_projs])
+    names = [(p.name, c.name) for projs in pos_projs for p in projs for c in coin_projs]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    branches = sparse.kron(wp, wc, format="csr") @ finals.tocsr()
+    matrix = branches[order].reshape((len(names) * dim, d * d)).tocsr()
     target_layout = RegisterLayout(layout.register(name) for name in spec.target_coins)
-    return BranchMaps(keys, matrix, target_layout, spec.tol)
+    return BranchMaps(tuple(names[b] for b in order), matrix, target_layout)
 
 
 @functools.cache
@@ -490,7 +477,7 @@ def enumerate_branches(
     vectors = np.where(vacuous[:, None], residuals, corrected) * scale[:, None]
     overlaps = vectors @ np.kron(payload.bob, payload.alice).conj()
     fidelities = np.where(vacuous, 0.0, np.abs(overlaps) ** 2)
-    return Branches(maps.keys, probs, fidelities, vacuous, vectors, maps.layout, maps.tol)
+    return Branches(maps.keys, probs, fidelities, vacuous, vectors, maps.layout)
 
 
 def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import InvalidDefinition, NotNormalized, ShapeMismatch, UnknownProtocol
 from .hilbert import (
     HADAMARD,
-    PRUNE_TOL,
     Label,
     RegisterLayout,
     SparseState,
@@ -149,15 +148,18 @@ class ProtocolSpec:
     target_coins: tuple[str, ...]
     position_families: tuple[PositionFamily, ...]
     qubits: int
-    tol: float = PRUNE_TOL
 
     def __post_init__(self) -> None:
         if len(self.steps) != 4:
             raise InvalidDefinition("a protocol has exactly four walk steps")
         if set(self.target_coins) & set(self.measured_coins):
             raise InvalidDefinition("target coins must be disjoint from measured coins")
-        if any(f.registers != self.measured_positions for f in self.position_families):
+        families = self.position_families
+        if any(f.registers != self.measured_positions for f in families):
             raise InvalidDefinition("every position family measures the measured positions")
+        members = [m for f in families for m in f.members]
+        if len(set(members)) != len(members) or len({f.name for f in families}) != len(families):
+            raise InvalidDefinition("position families must not share a member or a name")
 
 
 def _pattern_values_pair(bit: int) -> tuple[int, ...]:
@@ -233,7 +235,6 @@ def _walk_protocol(
     walkers_per_party: int,
     families: Callable[[tuple[str, ...]], tuple[PositionFamily, ...]],
     bound: int,
-    tol: float,
     cyclic: bool,
 ) -> ProtocolSpec:
     """The paper's four-step scheme for one choice of walkers and coins.
@@ -283,18 +284,17 @@ def _walk_protocol(
         target_coins=outs["a"] + outs["b"],
         position_families=families(pos_names),
         qubits=qubits,
-        tol=tol,
     )
 
 
-def get_protocol(protocol_id: str, bound: int = DEFAULT_BOUND, tol: float = PRUNE_TOL) -> ProtocolSpec:
-    """The protocol's spec, one shared object per (id, bound, tol).
+def get_protocol(protocol_id: str, bound: int = DEFAULT_BOUND) -> ProtocolSpec:
+    """The protocol's spec, one shared object per (id, bound).
 
     Compiled branch maps, tables and oracle matrices are cached on the spec
     object itself, so every caller asking for one configuration must get
-    the same object.
+    the same object.  States built for a spec prune at ``PRUNE_TOL``.
     """
-    return _protocol(protocol_id, bound, tol)
+    return _protocol(protocol_id, bound)
 
 
 # Per protocol: qubits, walkers per party, measurement families, cyclic.
@@ -307,11 +307,11 @@ _TEMPLATE_ARGS = {
 
 
 @functools.cache
-def _protocol(protocol_id: str, bound: int, tol: float) -> ProtocolSpec:
+def _protocol(protocol_id: str, bound: int) -> ProtocolSpec:
     if protocol_id not in _TEMPLATE_ARGS:
         raise UnknownProtocol(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
     qubits, walkers, families, cyclic = _TEMPLATE_ARGS[protocol_id]
-    return _walk_protocol(protocol_id, qubits, walkers, families, bound, tol, cyclic)
+    return _walk_protocol(protocol_id, qubits, walkers, families, bound, cyclic)
 
 
 def check_payload(spec: ProtocolSpec, payload: Payload) -> None:
@@ -350,7 +350,7 @@ def build_initial(spec: ProtocolSpec, payload: Payload) -> SparseState:
             for part, w in zip(parts, weights)
             if w != 0.0
         ]
-    return SparseState(spec.layout, dict(terms), spec.tol)
+    return SparseState(spec.layout, dict(terms))
 
 
 def walk_states(spec: ProtocolSpec, payload: Payload) -> list[SparseState]:

@@ -9,6 +9,12 @@ from walkport.protocols import PositionFamily, get_protocol
 from walkport.walkops import ConditionedShift, WalkStep
 
 LINE = get_protocol("line1q")
+POSITIONS = LINE.measured_positions
+
+
+def _with_family(family):
+    return dataclasses.replace(LINE, position_families=LINE.position_families + (family,))
+
 
 MALFORMED = {
     "register kind": lambda: Register("r", "spiral"),
@@ -21,6 +27,8 @@ MALFORMED = {
     "family registers": lambda: dataclasses.replace(
         LINE, position_families=(PositionFamily("f", ("a_pos",), ((0,),)),)
     ),
+    "shared family member": lambda: _with_family(PositionFamily("g", POSITIONS, ((0, 0),))),
+    "shared family name": lambda: _with_family(PositionFamily("00", POSITIONS, ((1, 1),))),
     "partial rule": lambda: ConditionedShift("p", ("c",), {(0,): 1}),
     "step size": lambda: ConditionedShift("p", ("c",), {(0,): 1, (1,): 3}),
     "shared shift target": lambda: WalkStep(
