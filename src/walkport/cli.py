@@ -8,7 +8,10 @@ sparse engine against the oracle's literal step matrices.
 
 Exit status: 0 on verified success, 1 on verification failure, 2 on a
 configuration error.  Reports are JSON with a top-level ``schema`` field
-and are byte-identical for identical configurations.
+and are byte-identical for identical configurations.  One writer,
+``json_text``, writes them.  A ``run`` payload's branch list, the same
+positions and coins for every payload of a spec, is filled into a
+per-key-tuple template from the branch columns and embedded as a Verbatim.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import json
 import math
 import os
 import sys
@@ -167,65 +169,98 @@ def write_file(path: Path, text: str) -> None:
 
 
 SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+BOOL_TEXT = {True: "true", False: "false"}
 
 
-def report_text(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, 2-3x faster.
+class Verbatim(str):
+    """Text that is already JSON: the report writer copies it as it is."""
 
-    A report repeats a few dict shapes and a few distinct floats thousands
-    of times.  So each dict shape's text is built once per depth as a
-    %-template, and each float's text once.  Both memos live for one call.
-    Non-str keys and values of other types raise TypeError.
-    """
-    templates: dict = {}
-    floats: dict = {}
 
-    def float_text(x: float) -> str:
-        text = floats.get(x)
-        if text is None or not x:  # 0.0 and -0.0 share a key, not a text
-            text = float.__repr__(x)
-            text = floats[x] = SPECIAL_FLOATS.get(text, text)
+class FloatTexts(dict):
+    """Each float's JSON text as json.dumps writes it, built on its first lookup."""
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x)
+        text = SPECIAL_FLOATS.get(text, text)
+        if x:  # 0.0 and -0.0 would share a key, not a text
+            self[x] = text
         return text
 
+
+def json_text(obj, depth: int | None = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` nested ``depth`` deep, 2-3x faster.
+
+    With ``depth`` None, exactly ``json.dumps(obj, sort_keys=True)``.  A
+    report repeats a few dict shapes and floats thousands of times, so each
+    shape's text is built once per depth as a %-template, and each float's
+    text once, for one call.  A Verbatim is copied as it is.  Non-str keys,
+    other str subclasses and values of other types raise TypeError.
+    """
+    templates: dict = {}
     scalars = {
         str: encode_basestring_ascii,
+        Verbatim: str,
         int: int.__repr__,
-        float: float_text,
-        bool: {True: "true", False: "false"}.__getitem__,
+        float: FloatTexts().__getitem__,
+        bool: BOOL_TEXT.__getitem__,
         type(None): lambda _: "null",
     }
 
-    def encode(o, depth: int) -> str:
+    def encode(o, depth: int | None) -> str:
         scalar = scalars.get(type(o))
         if scalar is not None:
             return scalar(o)
         if isinstance(o, (list, tuple, dict)):
             return container(o, depth)
-        for kind in (str, int, float):  # subclasses, such as numpy.float64
+        for kind in (int, float):  # subclasses, such as numpy.float64
             if isinstance(o, kind):
                 return scalars[kind](o)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    def container(o, depth: int) -> str:
+    def container(o, depth: int | None) -> str:
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
-        pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        last = "" if depth is None else "\n" + "  " * depth
+        first, inner = (last + "  ", depth + 1) if last else ("", None)
+        sep = "," + first if last else ", "
         if isinstance(o, dict):
             shape = templates.get((tuple(o), depth))
             if shape is None:
                 keys = sorted(o)  # encode_basestring_ascii raises TypeError on a non-str key
                 fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-                template = "{" + inner + ("," + inner).join(fields) + pad + "}"
+                template = "{" + first + sep.join(fields) + last + "}"
                 shape = templates[tuple(o), depth] = (keys, template)
             keys, template = shape
             o = list(map(o.__getitem__, keys))
         else:
-            template = "[" + inner + ("," + inner).join(["%s"] * len(o)) + pad + "]"
+            template = "[" + first + sep.join(["%s"] * len(o)) + last + "]"
         # Scalars are encoded inline: a report holds tens of thousands.
         get = scalars.get
-        return template % tuple([f(v) if (f := get(type(v))) else encode(v, depth + 1) for v in o])
+        return template % tuple([f(v) if (f := get(type(v))) else encode(v, inner) for v in o])
 
-    return encode(obj, 0) + "\n"
+    return encode(obj, depth)
+
+
+def report_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``: every JSON report's text."""
+    return json_text(obj) + "\n"
+
+
+@functools.cache
+def branch_template(keys: tuple[tuple[str, str], ...], depth: int | None) -> str:
+    """``json_text`` of a ``run`` payload's branch list at ``depth``, as a %-template.
+
+    Positions and coins are written in; each branch leaves four slots, in key
+    order: fidelity, probability, probability_dyadic and vacuous.  Keyed on
+    the keys, not a spec, so specs that differ only in ``--bound`` share it.
+    """
+
+    def fixed(text: str) -> Verbatim:
+        return Verbatim(encode_basestring_ascii(text).replace("%", "%%"))
+
+    slot = Verbatim("%s")
+    slots = dict.fromkeys(("fidelity", "probability", "probability_dyadic", "vacuous"), slot)
+    return json_text([{"position": fixed(p), "coin": fixed(c), **slots} for p, c in keys], depth)
 
 
 def emit(report: dict, args) -> None:
@@ -248,7 +283,7 @@ def render_text(report: dict, indent: str = "") -> str:
         elif isinstance(value, list):
             lines.append(f"{indent}{key}: [{len(value)} entries]")
             for item in value[:50]:
-                lines.append(f"{indent}  {json.dumps(item, sort_keys=True)}")
+                lines.append(f"{indent}  {json_text(item, None)}")
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
@@ -282,9 +317,12 @@ def cmd_run(args) -> int:
     spec = protocol_spec(args)
     payloads, source, warnings = resolve_payloads(args, spec.qubits)
     table = protocol_table(args, spec)
-    payload_reports = []
+    # Report, payloads, payload, branches: table-text writes each payload on one line.
+    depth = None if args.format == "table-text" else 3
+    float_text = FloatTexts().__getitem__
     # Thousands of branches share a few tens of probabilities.
-    dyadics: dict[float, str | None] = {}
+    dyadics: dict[float, str] = {}
+    payload_reports = []
     ok = True
     for index, payload in enumerate(payloads):
         branches = measure.enumerate_branches(spec, payload, table)
@@ -292,27 +330,23 @@ def cmd_run(args) -> int:
         fids = branches.fidelities.tolist()
         vacs = branches.vacuous.tolist()
         for p in set(probs) - dyadics.keys():
-            dyadics[p] = dyadic(p)
+            dyadics[p] = json_text(dyadic(p))
         prob_sum = sum(probs)
-        fid_ok = all(v or f >= 1.0 - tol for f, v in zip(fids, vacs))
+        fid_ok = bool((branches.vacuous | (branches.fidelities >= 1.0 - tol)).all())
         sum_ok = abs(prob_sum - 1.0) <= tol
         ok = ok and fid_ok and sum_ok
+        slots = [""] * (4 * len(probs))  # in branch_template's order
+        slots[0::4] = map(float_text, fids)
+        slots[1::4] = map(float_text, probs)
+        slots[2::4] = map(dyadics.__getitem__, probs)
+        slots[3::4] = map(BOOL_TEXT.__getitem__, vacs)
+        text = branch_template(branches.keys, depth) % tuple(slots)
         payload_reports.append(
             {
                 "payload": index,
                 "probability_sum": prob_sum,
                 "fidelities_ok": fid_ok,
-                "branches": [
-                    {
-                        "position": position,
-                        "coin": coin,
-                        "probability": p,
-                        "probability_dyadic": dyadics[p],
-                        "fidelity": f,
-                        "vacuous": v,
-                    }
-                    for (position, coin), p, f, v in zip(branches.keys, probs, fids, vacs)
-                ],
+                "branches": Verbatim(text),
             }
         )
     report = {

@@ -209,6 +209,18 @@ def initial_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, n
     return indices, values
 
 
+def gather_columns(matrix: sp.csc_matrix, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The row indices, data and column lengths of ``matrix[:, indices]``.
+
+    Sliced straight from the CSC arrays, in scipy's order, with no matrix built.
+    """
+    starts = matrix.indptr[indices]
+    counts = matrix.indptr[indices + 1] - starts
+    ends = np.cumsum(counts)
+    positions = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    return matrix.indices[positions], matrix.data[positions], counts
+
+
 def apply_to_support(
     matrix: sp.csc_matrix, indices: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -222,9 +234,9 @@ def apply_to_support(
     bitwise-equal to it.  Returns the sorted output rows and their
     amplitudes, exact zeros included.
     """
-    columns = matrix[:, indices]
-    products = columns.data * np.repeat(values, np.diff(columns.indptr))
-    rows, slots = np.unique(columns.indices, return_inverse=True)
+    column_rows, data, counts = gather_columns(matrix, indices)
+    products = data * np.repeat(values, counts)
+    rows, slots = np.unique(column_rows, return_inverse=True)
     out = np.zeros(len(rows), dtype=complex)
     np.add.at(out, slots, products)
     return rows, out

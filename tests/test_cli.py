@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -531,14 +532,173 @@ WRITER_ARGV = [
     ("run", "line1q", "--alice", "0.6:0,0:0.8", "--bob", "1.000000001,0"),
     ("run", "single2q", "--alice", "0.5,0.5,0.5,0.5", "--bob", "0,0:1,0,0"),
     ("oracle-check", "--count", "1"),
+    ("run", "line1q", "--bound", "3"),
+    ("run", "single2q", "--seed", "4", "--format", "table-text"),
+    ("run", "cycle1q", "--corrupt-table", "02"),
+    ("run", "twostep2q", "--count", "3"),
 ]
 
 
+def reference_run_report(argv) -> tuple[dict, int]:
+    """A ``run`` report and exit code, with one dict per ``enumerate_branches`` row."""
+    args = cli.build_parser().parse_args(argv)
+    spec = cli.protocol_spec(args)
+    payloads, source, warnings = cli.resolve_payloads(args, spec.qubits)
+    table = cli.protocol_table(args, spec)
+    tol, ok, payload_reports = args.tol, True, []
+    for index, payload in enumerate(payloads):
+        rows = list(measure.enumerate_branches(spec, payload, table))
+        prob_sum = sum(b.probability for b in rows)
+        fid_ok = all(b.vacuous or b.fidelity >= 1.0 - tol for b in rows)
+        ok = ok and fid_ok and abs(prob_sum - 1.0) <= tol
+        branches = [
+            {
+                "position": b.position,
+                "coin": b.coin,
+                "probability": b.probability,
+                "probability_dyadic": dyadic(b.probability),
+                "fidelity": b.fidelity,
+                "vacuous": b.vacuous,
+            }
+            for b in rows
+        ]
+        payload_reports.append(
+            {
+                "payload": index,
+                "probability_sum": prob_sum,
+                "fidelities_ok": fid_ok,
+                "branches": branches,
+            }
+        )
+    report = {
+        "schema": cli.SCHEMA,
+        "command": "run",
+        "protocol": spec.id,
+        "payload_source": source,
+        "payload_values": [cli.payload_descriptor(p) for p in payloads]
+        if source["source"] == "explicit"
+        else None,
+        "tolerance": tol,
+        "bound": args.bound,
+        "warnings": warnings,
+        "corrupted_family": args.corrupt_table,
+        "payloads": payload_reports,
+        "ok": ok,
+    }
+    return report, 0 if ok else 1
+
+
+def reference_table_text(report: dict, indent: str = "") -> str:
+    """``--format table-text`` of ``report``, with json.dumps for list items."""
+    lines = []
+    for key, value in sorted(report.items()):
+        if isinstance(value, dict):
+            lines.append(f"{indent}{key}:")
+            lines.append(reference_table_text(value, indent + "  "))
+        elif isinstance(value, list):
+            lines.append(f"{indent}{key}: [{len(value)} entries]")
+            lines += [f"{indent}  {json.dumps(item, sort_keys=True)}" for item in value[:50]]
+        else:
+            lines.append(f"{indent}{key}: {value}")
+    return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
+
+
+def assert_run_matches_reference(argv, out: Path):
+    report, code = reference_run_report(argv)
+    assert run_cli(*argv, "--out", str(out)) == code
+    if "table-text" in argv:
+        assert out.read_text() == reference_table_text(report)
+    else:
+        assert out.read_text() == reference_text(report)
+
+
 @pytest.mark.parametrize("argv", WRITER_ARGV)
-def test_report_writer_matches_json_dumps(argv, tmp_path, warm_tables, checked_writer):
+def test_report_writer_matches_json_dumps(argv, tmp_path, warm_tables, request):
+    # A run report's branch lists come pre-encoded from a template, which
+    # json.dumps would quote, so run is checked against a reference report.
     out = tmp_path / "report.json"
+    if argv[0] == "run":
+        assert_run_matches_reference(list(argv), out)
+        return
+    checked_writer = request.getfixturevalue("checked_writer")
     assert run_cli(*argv, "--out", str(out)) in (0, 1)
     assert checked_writer == [out.read_text()]
+
+
+def test_run_report_matches_reference_on_odd_branch_columns(tmp_path, warm_tables, monkeypatch):
+    # Valid payloads give every branch a dyadic probability and no vacuous
+    # row, so the columns are bent here: vacuous rows, probabilities with no
+    # dyadic, signed zeros and a NaN fidelity.
+    enumerate_branches = measure.enumerate_branches
+
+    def bent(spec, payload, table):
+        branches = enumerate_branches(spec, payload, table)
+        columns = (branches.probabilities, branches.fidelities, branches.vacuous)
+        probs, fids, vacs = (column.copy() for column in columns)
+        probs[:4] = [1 / 3, 0.0, -0.0, 1e-300]
+        fids[:5] = [0.0, -0.0, math.nan, 0.5, 1 - 1e-12]
+        vacs[:3] = True
+        return dataclasses.replace(branches, probabilities=probs, fidelities=fids, vacuous=vacs)
+
+    monkeypatch.setattr(measure, "enumerate_branches", bent)
+    for argv in (["run", "line1q", "--count", "2"], ["run", "cycle1q", "--format", "table-text"]):
+        assert_run_matches_reference(argv, tmp_path / "report.json")
+
+
+def test_branch_template_is_built_once_per_process(tmp_path, warm_tables):
+    cli.branch_template.cache_clear()
+    argv = ["run", "single2q", "--count", "1", "--out", str(tmp_path / "report.json")]
+    for _ in range(2):
+        assert cli.main(argv) == 0
+    info = cli.branch_template.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+TRICKY_KEYS = (("P%s", '"+'), ("%%", "-\\"), ("\u00e9", "\u2028\U0001f600"), ("", "%d"))
+
+
+@pytest.mark.parametrize("depth", [0, 3, None])
+def test_branch_template_encodes_keys_like_json_dumps(depth):
+    template = cli.branch_template(TRICKY_KEYS, depth)
+    fids, probs = [1.0, 0.0, math.nan, 0.5], [0.25, 1 / 3, -0.0, math.inf]
+    dyadics, vacs = ["1/4", None, "0", None], [False, True, True, False]
+    slots = zip(fids, probs, dyadics, vacs)
+    text = template % tuple(cli.json_text(value) for branch in slots for value in branch)
+    rows = [
+        {
+            "position": position,
+            "coin": coin,
+            "probability": p,
+            "probability_dyadic": d,
+            "fidelity": f,
+            "vacuous": v,
+        }
+        for (position, coin), f, p, d, v in zip(TRICKY_KEYS, fids, probs, dyadics, vacs)
+    ]
+    if depth is None:
+        assert text == json.dumps(rows, sort_keys=True)
+    else:
+        # At depth 3, as a run payload's branch list sits in its report.
+        nest = {"payloads": [{"branches": rows}]} if depth else rows
+        got = {"payloads": [{"branches": cli.Verbatim(text)}]} if depth else cli.Verbatim(text)
+        assert cli.report_text(got) == reference_text(nest)
+
+
+def test_report_writer_copies_verbatim_and_rejects_other_str_subclasses():
+    text = cli.report_text({"a": [cli.Verbatim('{"x": %s}')]})
+    assert text == '{\n  "a": [\n    {"x": %s}\n  ]\n}\n'
+
+    class Other(str):
+        pass
+
+    class SubVerbatim(cli.Verbatim):
+        pass
+
+    for bad in (Other("a"), SubVerbatim("a")):
+        with pytest.raises(TypeError):
+            cli.report_text({"a": bad})
+        with pytest.raises(TypeError):
+            cli.json_text([bad], None)
 
 
 def test_report_writer_writes_every_table_file(tmp_path, warm_tables, checked_writer):
@@ -579,6 +739,7 @@ def test_report_writer_matches_json_dumps_on_any_tree(tree):
     # Repeated subtrees exercise the per-call templates and float texts.
     doc = {"trees": tree, "again": tree, "nested": {"": {}, "%s": [[], {}]}}
     assert cli.report_text(doc) == reference_text(doc)
+    assert cli.json_text(doc, None) == json.dumps(doc, sort_keys=True)
 
 
 @pytest.mark.parametrize("bad", [{1: "a"}, {"a": [{"b": 0, None: 1}]}, {"a": {("t",): 0}}])

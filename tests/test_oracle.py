@@ -258,6 +258,27 @@ def test_apply_to_support_sums_like_a_dense_mat_vec():
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_column_gather_equals_scipy_fancy_indexing(pid):
+    # Also on a random matrix whose columns store their rows in descending order.
+    rng = np.random.default_rng(5)
+    spec = oracle.oracle_spec(pid)
+    csc = sp.random(40, 50, density=0.3, format="csc", random_state=6)
+    unsorted = sp.csc_matrix(
+        (csc.data[::-1], csc.indices[::-1], csc.nnz - csc.indptr[::-1]), shape=csc.shape
+    )
+    matrices = [oracle.cached_step_matrix(spec, k) for k in range(4)] + [unsorted]
+    for matrix in matrices:
+        n = matrix.shape[1]
+        for size in (1, 2, min(n, 37), min(n, 256)):
+            indices = np.sort(rng.choice(n, size=size, replace=False))
+            want = matrix[:, indices]
+            rows, data, counts = oracle.gather_columns(matrix, indices)
+            assert np.array_equal(rows, want.indices)
+            assert data.tobytes() == want.data.tobytes()
+            assert np.array_equal(counts, np.diff(want.indptr))
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
 def test_dense_path_matches_sparse_engine(pid):
     spec = get_protocol(pid)
     ospec = oracle.oracle_spec(pid)
