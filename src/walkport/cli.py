@@ -161,9 +161,9 @@ def payload_descriptor(payload: Payload) -> dict:
     }
 
 
-def write_file(path: Path, text: str) -> None:
+def write_file(path: str | Path, text: str) -> None:
     try:
-        path.write_text(text, encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
 
@@ -188,7 +188,7 @@ class FloatTexts(dict):
 
 
 def json_text(obj, depth: int | None = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` nested ``depth`` deep, 2-3x faster.
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` nested ``depth`` deep, but faster.
 
     With ``depth`` None, exactly ``json.dumps(obj, sort_keys=True)``.  A
     report repeats a few dict shapes and floats thousands of times, so each
@@ -268,8 +268,8 @@ def emit(report: dict, args) -> None:
         text = render_text(report)
     else:
         text = report_text(report)
-    if getattr(args, "out", None):
-        write_file(Path(args.out), text)
+    if getattr(args, "out", None) is not None:
+        write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -423,7 +423,7 @@ def parse_family_selection(text: str, available: list[str]) -> list[str]:
 
 def cmd_tables(args) -> int:
     out = args.out
-    to_directory = bool(out) and Path(out).is_dir()
+    to_directory = bool(out) and Path(out).is_dir()  # Path("") is "."
     if to_directory and args.format == "table-text":
         raise ConfigError("--format table-text cannot be written to a directory --out")
     spec = protocol_spec(args)

@@ -7,21 +7,20 @@ The two-qubit bijection is derived, not assumed: it pairs the outcomes
 whose compiled branch maps are bitwise equal, and the check fails unless
 each outcome has exactly one partner.  Equal maps give equal branches for
 every payload, so the loop over random payloads scores the two correction
-tables on the paired branches.  The cycle-line claim is checked on the
-difference of the two compiled walk maps applied to random payloads.  Both
-claims also compare their tables row by row, and the checks report deltas
-rather than trusting structure.
+tables on the paired branches.  The cycle-line claim reduces the line
+walk map's labels mod 4, subtracts the cycle walk map, and applies the
+difference to random payloads; the same reduction pairs the outcomes.  Both
+claims also compare their tables row by row, and report deltas.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 from .errors import MappingIncomplete
-from .hilbert import Label, SparseState
+from .hilbert import SparseState
 from .measure import (
     branch_maps,
     enumerate_branches,
@@ -29,6 +28,7 @@ from .measure import (
     project,
     position_projectors,
     synthesized_table,
+    walk_map,
 )
 from .protocols import Payload, ProtocolSpec, check_payload, get_protocol, run_walks
 
@@ -188,44 +188,41 @@ def check_two_qubit_equivalence(
     }
 
 
-# Family names of the line protocol and their counterparts on the cycle,
-# where the +-2 positions merge and only the all-plus outcome survives.
-CYCLE_LINE_FAMILY_MAP = (
-    ("00", "00"),
-    ("02:0", "02"),
-    ("20:0", "20"),
-    ("22:0", "22"),
-)
+def _reduce_mod4(values: tuple[int, ...], registers) -> tuple[int, ...]:
+    """Line-protocol register values on the 4-cycle: every position mod 4."""
+    return tuple(v % 4 if reg.role == "position" else v for reg, v in zip(registers, values))
 
 
-def reduce_mod4(state: SparseState, cycle_layout) -> SparseState:
-    """Map a line-protocol state onto the cycle layout, positions mod 4."""
-    amps: dict[Label, complex] = {}
-    for label, amp in state.amps.items():
-        reduced = tuple(
-            v % 4 if reg.role == "position" else v
-            for reg, v in zip(state.layout.registers, label)
-        )
-        amps[reduced] = amps.get(reduced, 0.0 + 0.0j) + amp
-    return SparseState(cycle_layout, amps, state.tol)
+@functools.cache
+def cycle_line_pairs(line: ProtocolSpec, cyc: ProtocolSpec) -> tuple[tuple[str, str], ...]:
+    """(line outcome, cycle outcome) pairs in the cycle's family order, cached.
+
+    A cycle family pairs with the all-plus outcome 0 of the one line family
+    whose members all reduce onto its member, else ``MappingIncomplete``: a
+    cycle vertex's amplitude is the plain sum of theirs.
+    """
+    registers = [line.layout.register(name) for name in line.measured_positions]
+    images = {f: {_reduce_mod4(m, registers) for m in f.members} for f in line.position_families}
+    pairs = []
+    for family in cyc.position_families:
+        partners = [f.outcome_name(0) for f, image in images.items() if image == set(family.members)]
+        if len(partners) != 1:
+            raise MappingIncomplete(f"{cyc.id} family {family.name} has {line.id} partners {partners}")
+        pairs.append((partners[0], family.outcome_name(0)))
+    return tuple(pairs)
 
 
 @functools.cache
 def cycle_line_difference(line: ProtocolSpec, cyc: ProtocolSpec) -> np.ndarray:
-    """Line state mod 4 minus cycle state, as a dense map of ``alice ⊗ bob``.
-
-    Every walk step is linear in ``alice ⊗ bob``, so the two pre-measurement
-    states differ by a fixed map.  Column ``2i + j`` is the difference for
-    the basis payload ``(e_i, e_j)``; rows run over the sorted union of the
-    cycle labels.  Cached per (spec, spec).
-    """
-    columns = []
-    for alice, bob in itertools.product(np.eye(2), repeat=2):
-        payload = Payload(alice, bob)
-        reduced = reduce_mod4(run_walks(line, payload), cyc.layout)
-        columns.append((reduced, run_walks(cyc, payload)))
-    labels = sorted(set().union(*(r.amps.keys() | c.amps.keys() for r, c in columns)))
-    difference = np.array([[r.amplitude(k) - c.amplitude(k) for r, c in columns] for k in labels])
+    """Line walk map mod 4 minus cycle walk map, over the sorted cycle labels; cached."""
+    line_labels, line_walks = walk_map(line)
+    cycle_labels, cycle_walks = walk_map(cyc)
+    reduced = [_reduce_mod4(label, line.layout.registers) for label in line_labels]
+    labels = sorted(set(reduced) | set(cycle_labels))
+    row = {label: k for k, label in enumerate(labels)}
+    difference = np.zeros((len(labels), cycle_walks.shape[1]), dtype=complex)
+    np.add.at(difference, [row[label] for label in reduced], line_walks.toarray())
+    np.subtract.at(difference, [row[label] for label in cycle_labels], cycle_walks.toarray())
     difference.setflags(write=False)  # shared by every caller
     return difference
 
@@ -235,11 +232,12 @@ def check_cycle_line_equivalence(payloads: list[Payload], cycle_table=None) -> d
     plus the mapped table rows and the origin spot check on the first payload."""
     line = get_protocol("line1q")
     cyc = get_protocol("cycle1q")
+    outcome_pairs = cycle_line_pairs(line, cyc)
     table_line = synthesized_table(line)
     table_cycle = cycle_table if cycle_table is not None else synthesized_table(cyc)
 
     table_mismatches = mapped_table_mismatches(
-        CYCLE_LINE_FAMILY_MAP,
+        outcome_pairs,
         ("line", table_line, line.target_coins),
         ("cycle", table_cycle, cyc.target_coins),
     )
@@ -258,7 +256,7 @@ def check_cycle_line_equivalence(payloads: list[Payload], cycle_table=None) -> d
         for index, delta in enumerate(deltas.tolist())
         if delta > EQUIV_TOL
     ]
-    report = {
+    return {
         "claim": "cycle protocol equals line protocol reduced mod 4",
         "payloads": len(payloads),
         "max_state_delta": float(deltas.max(initial=0.0)),
@@ -269,7 +267,6 @@ def check_cycle_line_equivalence(payloads: list[Payload], cycle_table=None) -> d
         and not table_mismatches
         and all(c["corrected_term_reproduced"] for c in spot_checks),
     }
-    return report
 
 
 def _origin_residual_spot_check(

@@ -9,17 +9,17 @@ payloads.
 
 Every step from the payloads to a branch residual is linear, so each
 branch compiles, once, to a small matrix of ``alice ⊗ bob``.  The sparse
-engine walks the basis payloads; every projection then follows from one
-sparse product of the measurement weights with those walks
-(``compile_branch_maps``).  Verifying a
-payload is one sparse mat-vec.  ``project`` and ``branch_finals`` measure
-one state branch by branch; they remain as the reference the compiled maps
-are tested against.  Correction tables are read off the maps in one
-vectorised pass: a branch is correctable exactly when its map is a Pauli
-string times the swap, which proves fidelity one for every payload.  The
-synthesized tables are the source of truth.  Reference tables bundled
-under ``data/`` are compared against them row by row and any disagreement
-is reported, not silently adopted.
+engine walks the basis payloads once per spec (``walk_map``), and one
+sparse product of the measurement weights with that map gives every branch
+(``compile_branch_maps``).  Verifying a payload is one sparse mat-vec.
+``project`` and ``branch_finals`` measure one state branch by branch; they
+remain as the reference the compiled maps are tested against.  Correction
+tables are read off the maps in one vectorised pass: a branch is
+correctable exactly when its map is a Pauli string times the swap, which
+proves fidelity one for every payload.  The synthesized tables are the
+source of truth.  Reference tables bundled under ``data/`` are compared
+against them row by row and any disagreement is reported, not silently
+adopted.
 """
 
 from __future__ import annotations
@@ -403,19 +403,29 @@ class BranchMaps:
         return 1 << len(self.layout)
 
 
-def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
-    """Build every branch map as one sparse product ``(Wp ⊗ Wc) · F``.
+@functools.cache
+def walk_map(spec: ProtocolSpec) -> tuple[tuple[Label, ...], sparse.csr_matrix]:
+    """The sorted labels the basis walks reach, and the ``labels × d²`` walk map.
 
-    Walk steps and projections are linear and the payloads enter only
-    through ``alice ⊗ bob``, so column ``i*d + j`` of ``M_b`` is branch b's
-    unnormalized residual for the basis payloads ``(e_i, e_j)``.  The basis
-    walks fill a sparse ``F[(member, measured-coin bits), (target bits,
-    column)]``, skipping positions outside every family.  ``Wp`` stacks each
-    family's sign-pattern weights block by block and ``Wc`` holds the coin
-    weights, so every branch is one row of the product.
+    Column ``i*d + j`` is ``run_walks`` of the basis payloads ``(e_i, e_j)``.
+    Cached per spec object and shared, like ``branch_maps``: read only.
     """
     d = 1 << spec.qubits
     basis = np.eye(d)
+    walks = [run_walks(spec, Payload(basis[i], basis[j])) for i in range(d) for j in range(d)]
+    labels = tuple(sorted(set().union(*(w.amps for w in walks))))
+    return labels, sparse.csr_matrix([[w.amplitude(label) for w in walks] for label in labels])
+
+
+def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
+    """Build every branch map as one sparse product ``(Wp ⊗ Wc) · F``.
+
+    The walk map's entries fill a sparse ``F[(member, measured-coin bits),
+    (target bits, column)]``, skipping positions outside every family.
+    ``Wp`` stacks each family's sign-pattern weights block by block and
+    ``Wc`` holds the coin weights, so every branch is one row of the product.
+    """
+    d = 1 << spec.qubits
     layout = spec.layout
     positions = layout.subset(spec.measured_positions)
     coins = layout.subset(spec.measured_coins)
@@ -423,14 +433,15 @@ def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
     families = spec.position_families
     member_row = {m: k for k, m in enumerate(m for f in families for m in f.members)}
     coin_dim, dim = 1 << len(coins), 1 << len(targets)
+    labels, walks = walk_map(spec)
     finals = sparse.dok_matrix((len(member_row) * coin_dim, dim * d * d), dtype=complex)
-    for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
-        for label, amp in run_walks(spec, Payload(basis[i], basis[j])).amps.items():
-            row = member_row.get(tuple(label[k] for k in positions))
-            if row is not None:
-                c = bits_to_index(tuple(label[k] for k in coins))
-                t = bits_to_index(tuple(label[k] for k in targets))
-                finals[row * coin_dim + c, t * d * d + col] = amp
+    for (k, col), amp in walks.todok().items():
+        label = labels[k]
+        row = member_row.get(tuple(label[i] for i in positions))
+        if row is not None:
+            c = bits_to_index(tuple(label[i] for i in coins))
+            t = bits_to_index(tuple(label[i] for i in targets))
+            finals[row * coin_dim + c, t * d * d + col] = amp
 
     # Projector terms run over the members, and over the coin bits in index order.
     pos_projs = [position_projectors(f) for f in families]

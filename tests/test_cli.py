@@ -291,6 +291,26 @@ def test_unwritable_out_is_a_config_error(tmp_path, warm_tables, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "line1q"),
+        ("equiv", "cycle-line", "--count", "1"),
+        ("tables", "line1q"),
+        ("tables", "line1q", "--format", "table-text"),
+        ("oracle-check", "line1q", "--count", "1"),
+    ],
+)
+def test_empty_out_is_a_config_error(argv, tmp_path, warm_tables, capsys, monkeypatch):
+    # Path("") is the working directory: tables must not write its files there.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1

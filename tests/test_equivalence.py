@@ -1,11 +1,14 @@
+import collections
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from walkport import cli, equivalence, measure
+from walkport import cli, equivalence, measure, protocols
 from walkport.errors import MappingIncomplete, NoPauliCorrection
+from walkport.hilbert import SparseState
 from walkport.protocols import PositionFamily, get_protocol, run_walks, seeded_payloads
 
 from test_spec_mutations import CASES, first_jump_off_by_one
@@ -323,13 +326,36 @@ def test_cycle_line_equivalence_holds(warm_tables):
     assert report["table_mismatches"] == []
 
 
+# The hand pairing the derivation replaced, as a reference: family names of
+# the line protocol and their counterparts on the cycle, where the +-2
+# positions merge and only the all-plus outcome survives.
+CYCLE_LINE_FAMILY_MAP = (
+    ("00", "00"),
+    ("02:0", "02"),
+    ("20:0", "20"),
+    ("22:0", "22"),
+)
+
+
+def reduce_mod4(state, cycle_layout):
+    """Map a line-protocol state onto the cycle layout, positions mod 4."""
+    amps = {}
+    for label, amp in state.amps.items():
+        reduced = tuple(
+            v % 4 if reg.role == "position" else v
+            for reg, v in zip(state.layout.registers, label)
+        )
+        amps[reduced] = amps.get(reduced, 0.0 + 0.0j) + amp
+    return SparseState(cycle_layout, amps, state.tol)
+
+
 def per_payload_cycle_line_equivalence(payloads, cycle_table=None):
     """The per-payload walks check_cycle_line_equivalence replaced, as a reference."""
     line = equivalence.get_protocol("line1q")
     cyc = equivalence.get_protocol("cycle1q")
     table_cycle = cycle_table if cycle_table is not None else measure.synthesized_table(cyc)
     table_mismatches = equivalence.mapped_table_mismatches(
-        equivalence.CYCLE_LINE_FAMILY_MAP,
+        CYCLE_LINE_FAMILY_MAP,
         ("line", measure.synthesized_table(line), line.target_coins),
         ("cycle", table_cycle, cyc.target_coins),
     )
@@ -339,7 +365,7 @@ def per_payload_cycle_line_equivalence(payloads, cycle_table=None):
     for index, payload in enumerate(payloads):
         line_state = run_walks(line, payload)
         cycle_state = run_walks(cyc, payload)
-        delta = equivalence.reduce_mod4(line_state, cyc.layout).max_delta(cycle_state)
+        delta = reduce_mod4(line_state, cyc.layout).max_delta(cycle_state)
         max_ds = max(max_ds, delta)
         if delta > equivalence.EQUIV_TOL:
             state_mismatches.append({"payload": index, "state_delta": delta})
@@ -404,6 +430,70 @@ def test_cycle_line_check_flags_a_mutated_cycle_walk(warm_tables, monkeypatch):
     monkeypatch.undo()
     # The difference map is cached per spec object, not per protocol id.
     assert equivalence.check_cycle_line_equivalence(payloads)["max_state_delta"] == 0.0
+
+
+def test_derived_cycle_line_pairs_equal_the_hand_map():
+    line, cyc = get_protocol("line1q"), get_protocol("cycle1q")
+    assert equivalence.cycle_line_pairs(line, cyc) == CYCLE_LINE_FAMILY_MAP
+
+
+def misplaced_corner(cyc):
+    """cycle1q with its 22 family on vertex (1, 3), which no line family reduces onto."""
+    families = tuple(
+        dataclasses.replace(f, members=((1, 3),)) if f.name == "22" else f
+        for f in cyc.position_families
+    )
+    return dataclasses.replace(cyc, position_families=families)
+
+
+def test_cycle_family_without_exactly_one_line_partner_is_detected():
+    line, cyc = get_protocol("line1q"), get_protocol("cycle1q")
+    with pytest.raises(MappingIncomplete, match=r"cycle1q family 22 has line1q partners \[\]$"):
+        equivalence.cycle_line_pairs(line, misplaced_corner(cyc))
+    # The line's 22 family split in two: both halves reduce onto vertex (2, 2).
+    corner = next(f for f in line.position_families if f.name == "22")
+    halves = (
+        PositionFamily("22a", corner.registers, corner.members[:2]),
+        PositionFamily("22b", corner.registers, corner.members[2:]),
+    )
+    split = dataclasses.replace(line, position_families=line.position_families[:3] + halves)
+    with pytest.raises(MappingIncomplete, match=r"partners \['22a:0', '22b:0'\]$"):
+        equivalence.cycle_line_pairs(split, cyc)
+
+
+def test_unpaired_cycle_family_exits_1_without_a_traceback(warm_tables, monkeypatch, capsys):
+    mutated = misplaced_corner(get_protocol("cycle1q"))
+    monkeypatch.setattr(
+        equivalence, "get_protocol", lambda pid: mutated if pid == "cycle1q" else get_protocol(pid)
+    )
+    assert cli.main(["equiv", "cycle-line", "--count", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: MappingIncomplete: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_tables_and_cycle_line_calls_walk_each_basis_payload_once(tmp_path, monkeypatch):
+    # A fresh memo gives this test its own spec objects, so every per-spec
+    # cache (walk maps, branch maps, tables, pairs, difference map) starts cold.
+    monkeypatch.setattr(protocols, "_protocol", functools.cache(protocols._protocol.__wrapped__))
+    walked = []
+    walk = measure.run_walks
+
+    def counted(spec, payload):
+        walked.append(spec.id)
+        return walk(spec, payload)
+
+    monkeypatch.setattr(measure, "run_walks", counted)
+    monkeypatch.setattr(equivalence, "run_walks", counted)
+    out = str(tmp_path / "report.json")
+    equiv = ["equiv", "cycle-line", "--count", "24"]
+    for argv in (["tables", "line1q"], ["tables", "cycle1q"], equiv, equiv):
+        assert cli.main([*argv, "--out", out]) == 0
+    # Four basis walks per protocol for its walk map, shared by the branch
+    # maps and the difference map, plus the origin spot check's cycle walk
+    # once per equiv call.
+    assert collections.Counter(walked) == {"line1q": 4, "cycle1q": 4 + 2}
 
 
 def test_equiv_cycle_line_walks_once_per_call_after_the_first(warm_tables, tmp_path, monkeypatch):

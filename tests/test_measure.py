@@ -504,12 +504,44 @@ def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(measure, name, counted(name))
+    measure.walk_map.cache_clear()
     for pid in ("line1q", "twostep2q"):
         spec = get_protocol(pid)
         before = calls["run_walks"]
         measure.compile_branch_maps(spec)
         assert calls["run_walks"] - before == 4**spec.qubits
     assert (calls["project"], calls["branch_finals"]) == (0, 0)
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_walk_map_rows_hold_one_entry_of_plus_or_minus_two_to_the_minus_q(pid):
+    spec = get_protocol(pid)
+    labels, walks = measure.walk_map(spec)
+    d = 1 << spec.qubits
+    assert labels == tuple(sorted(labels)) and walks.shape == (16**spec.qubits, d * d)
+    basis = np.eye(d)
+    for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
+        final = run_walks(spec, Payload(basis[i], basis[j]))
+        assert walks[:, [col]].toarray().ravel().tolist() == [final.amplitude(l) for l in labels]
+    # In exact arithmetic every entry is +-2^-q; the walks round within an ulp.
+    assert (np.diff(walks.indptr) == 1).all()
+    scale = 2.0**-spec.qubits
+    assert np.minimum(abs(walks.data - scale), abs(walks.data + scale)).max() <= 1.2e-16
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_the_four_walk_steps_commute(warm_tables, pid):
+    spec = get_protocol(pid)
+    maps = branch_maps(spec)
+    orders = list(itertools.permutations(range(4)))[1:]
+    assert len(orders) == 23
+    for order in orders:
+        reordered = dataclasses.replace(spec, steps=tuple(spec.steps[k] for k in order))
+        other = measure.compile_branch_maps(reordered)
+        assert other.keys == maps.keys
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(other.matrix, part), getattr(maps.matrix, part)
+            assert got.tobytes() == want.tobytes(), (order, part)
 
 
 def test_compiling_a_two_qubit_protocol_peaks_under_8_mib():

@@ -8,11 +8,12 @@ import scipy.sparse as sp
 import chains
 from states import allclose, densify, label_to_index
 from test_spec_mutations import first_jump_off_by_one
-from walkport import oracle
+from walkport import measure, oracle
 from walkport.errors import DimensionOverflow
 from walkport.hilbert import COIN, RegisterLayout, lattice
 from walkport.protocols import (
     PROTOCOL_IDS,
+    Payload,
     build_initial,
     get_protocol,
     random_payload,
@@ -300,3 +301,27 @@ def test_matrix_product_equals_run_walks():
     got = oracle.sparsify(vec, spec.layout)
     keys = set(got.amps) | set(final.amps)
     assert max(abs(got.amplitude(k) - final.amplitude(k)) for k in keys) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "pid, map_delta",
+    [("line1q", 0.0), ("cycle1q", 0.0), ("single2q", 2.78e-17), ("twostep2q", 2.78e-17)],
+)
+def test_oracle_walk_map_bounds_the_delta_of_every_payload(pid, map_delta):
+    # Both sides are linear in x = alice ⊗ bob, and |x|_1 <= d for unit
+    # payloads, so max|ΔW| over the d² basis walks bounds every payload's
+    # engine-oracle delta by d * max|ΔW| (up to the rounding of W @ x).
+    spec = get_protocol(pid)
+    labels, walks = measure.walk_map(spec)
+    d = 1 << spec.qubits
+    basis = np.eye(d)
+    finals = [
+        oracle.dense_run(oracle.oracle_spec(pid), Payload(basis[i], basis[j]))
+        for i in range(d)
+        for j in range(d)
+    ]
+    assert tuple(sorted(set().union(*(f.amps for f in finals)))) == labels
+    dense = np.array([[f.amplitude(label) for f in finals] for label in labels])
+    delta = np.abs(dense - walks.toarray()).max()
+    assert delta <= map_delta
+    assert d * delta <= 1.12e-16
