@@ -7,11 +7,10 @@ with disagreements flagged, and ``oracle-check`` cross-validates the
 sparse engine against the oracle's literal step matrices.
 
 Exit status: 0 on verified success, 1 on verification failure, 2 on a
-configuration error.  Reports are JSON with a top-level ``schema`` field
-and are byte-identical for identical configurations.  One writer,
-``json_text``, writes them.  A ``run`` payload's branch list, the same
-positions and coins for every payload of a spec, is filled into a
-per-key-tuple template from the branch columns and embedded as a Verbatim.
+configuration error or a failed write.  Reports are JSON written by
+``json.dumps``, with a top-level ``schema`` field, and byte-identical for
+identical configurations.  A ``run`` payload's branch list, the same for
+every payload of a spec, is filled into a per-key-tuple template instead.
 """
 
 from __future__ import annotations
@@ -19,11 +18,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -161,19 +161,21 @@ def payload_descriptor(payload: Payload) -> dict:
     }
 
 
-def write_file(path: str | Path, text: str) -> None:
+def write_text(path: str | Path | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout if ``path`` is None."""
+    where = "standard output" if path is None else repr(str(path))
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+        raise ConfigError(f"cannot write {where}: {exc.strerror}") from None
 
 
 SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 BOOL_TEXT = {True: "true", False: "false"}
-
-
-class Verbatim(str):
-    """Text that is already JSON: the report writer copies it as it is."""
 
 
 class FloatTexts(dict):
@@ -187,91 +189,42 @@ class FloatTexts(dict):
         return text
 
 
-def json_text(obj, depth: int | None = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` nested ``depth`` deep, but faster.
-
-    With ``depth`` None, exactly ``json.dumps(obj, sort_keys=True)``.  A
-    report repeats a few dict shapes and floats thousands of times, so each
-    shape's text is built once per depth as a %-template, and each float's
-    text once, for one call.  A Verbatim is copied as it is.  Non-str keys,
-    other str subclasses and values of other types raise TypeError.
-    """
-    templates: dict = {}
-    scalars = {
-        str: encode_basestring_ascii,
-        Verbatim: str,
-        int: int.__repr__,
-        float: FloatTexts().__getitem__,
-        bool: BOOL_TEXT.__getitem__,
-        type(None): lambda _: "null",
-    }
-
-    def encode(o, depth: int | None) -> str:
-        scalar = scalars.get(type(o))
-        if scalar is not None:
-            return scalar(o)
-        if isinstance(o, (list, tuple, dict)):
-            return container(o, depth)
-        for kind in (int, float):  # subclasses, such as numpy.float64
-            if isinstance(o, kind):
-                return scalars[kind](o)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    def container(o, depth: int | None) -> str:
-        if not o:
-            return "{}" if isinstance(o, dict) else "[]"
-        last = "" if depth is None else "\n" + "  " * depth
-        first, inner = (last + "  ", depth + 1) if last else ("", None)
-        sep = "," + first if last else ", "
-        if isinstance(o, dict):
-            shape = templates.get((tuple(o), depth))
-            if shape is None:
-                keys = sorted(o)  # encode_basestring_ascii raises TypeError on a non-str key
-                fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-                template = "{" + first + sep.join(fields) + last + "}"
-                shape = templates[tuple(o), depth] = (keys, template)
-            keys, template = shape
-            o = list(map(o.__getitem__, keys))
-        else:
-            template = "[" + first + sep.join(["%s"] * len(o)) + last + "]"
-        # Scalars are encoded inline: a report holds tens of thousands.
-        get = scalars.get
-        return template % tuple([f(v) if (f := get(type(v))) else encode(v, inner) for v in o])
-
-    return encode(obj, depth)
-
-
 def report_text(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``: every JSON report's text."""
-    return json_text(obj) + "\n"
+    """Every JSON report's text."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @functools.cache
 def branch_template(keys: tuple[tuple[str, str], ...], depth: int | None) -> str:
-    """``json_text`` of a ``run`` payload's branch list at ``depth``, as a %-template.
+    """``json.dumps`` of a ``run`` payload's branch list at ``depth``, as a %-template.
 
     Positions and coins are written in; each branch leaves four slots, in key
     order: fidelity, probability, probability_dyadic and vacuous.  Keyed on
     the keys, not a spec, so specs that differ only in ``--bound`` share it.
+    No string of a ``run`` report equals a slot's "\\x00" or a placeholder of
+    ``emit``: positions and coins are outcome names, ``corrupted_family``
+    names a family of the table, and the warnings are walkport's own.
     """
-
-    def fixed(text: str) -> Verbatim:
-        return Verbatim(encode_basestring_ascii(text).replace("%", "%%"))
-
-    slot = Verbatim("%s")
+    slot = "\x00"
     slots = dict.fromkeys(("fidelity", "probability", "probability_dyadic", "vacuous"), slot)
-    return json_text([{"position": fixed(p), "coin": fixed(c), **slots} for p, c in keys], depth)
+    rows = [{"position": p, "coin": c, **slots} for p, c in keys]
+    if depth is None:  # on one line, as table-text writes it
+        text = json.dumps(rows, sort_keys=True)
+    else:
+        # JSON strings hold no raw newline, so every newline is indentation.
+        text = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+    return text.replace("%", "%%").replace(json.dumps(slot), "%s")
 
 
-def emit(report: dict, args) -> None:
+def emit(report: dict, args, blocks: Sequence[str] = ()) -> None:
+    """Write ``report``, with ``blocks[i]`` in place of its placeholder string "\\x00<i>"."""
     if getattr(args, "format", "json") == "table-text":
         text = render_text(report)
     else:
         text = report_text(report)
-    if getattr(args, "out", None) is not None:
-        write_file(args.out, text)
-    else:
-        sys.stdout.write(text)
+    # One pass, by index: table-text leaves out the blocks of payloads past the 50th.
+    text = re.sub(r'"\\u0000(\d+)"', lambda m: blocks[int(m[1])], text)
+    write_text(getattr(args, "out", None), text)
 
 
 def render_text(report: dict, indent: str = "") -> str:
@@ -283,7 +236,7 @@ def render_text(report: dict, indent: str = "") -> str:
         elif isinstance(value, list):
             lines.append(f"{indent}{key}: [{len(value)} entries]")
             for item in value[:50]:
-                lines.append(f"{indent}  {json_text(item, None)}")
+                lines.append(f"{indent}  {json.dumps(item, sort_keys=True)}")
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
@@ -322,7 +275,7 @@ def cmd_run(args) -> int:
     float_text = FloatTexts().__getitem__
     # Thousands of branches share a few tens of probabilities.
     dyadics: dict[float, str] = {}
-    payload_reports = []
+    payload_reports, blocks = [], []
     ok = True
     for index, payload in enumerate(payloads):
         branches = measure.enumerate_branches(spec, payload, table)
@@ -330,7 +283,7 @@ def cmd_run(args) -> int:
         fids = branches.fidelities.tolist()
         vacs = branches.vacuous.tolist()
         for p in set(probs) - dyadics.keys():
-            dyadics[p] = json_text(dyadic(p))
+            dyadics[p] = json.dumps(dyadic(p))
         prob_sum = sum(probs)
         fid_ok = bool((branches.vacuous | (branches.fidelities >= 1.0 - tol)).all())
         sum_ok = abs(prob_sum - 1.0) <= tol
@@ -340,13 +293,13 @@ def cmd_run(args) -> int:
         slots[1::4] = map(float_text, probs)
         slots[2::4] = map(dyadics.__getitem__, probs)
         slots[3::4] = map(BOOL_TEXT.__getitem__, vacs)
-        text = branch_template(branches.keys, depth) % tuple(slots)
+        blocks.append(branch_template(branches.keys, depth) % tuple(slots))
         payload_reports.append(
             {
                 "payload": index,
                 "probability_sum": prob_sum,
                 "fidelities_ok": fid_ok,
-                "branches": Verbatim(text),
+                "branches": f"\x00{index}",  # emit splices blocks[index] in here
             }
         )
     report = {
@@ -364,7 +317,7 @@ def cmd_run(args) -> int:
         "payloads": payload_reports,
         "ok": ok,
     }
-    emit(report, args)
+    emit(report, args, blocks)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -456,10 +409,10 @@ def cmd_tables(args) -> int:
         base = Path(out)
         for name, data in family_tables.items():
             path = base / f"{spec.id}_{name}.json"
-            write_file(path, report_text(data))
+            write_text(path, report_text(data))
         summary = dict(report)
         summary["synthesized"] = sorted(family_tables)
-        write_file(base / f"{spec.id}_tables_report.json", report_text(summary))
+        write_text(base / f"{spec.id}_tables_report.json", report_text(summary))
     else:
         emit(report, args)
     return EXIT_OK
@@ -588,8 +541,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    # A failed stdout write leaves its text buffered: the flush at exit goes to devnull.
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -1,13 +1,17 @@
+import argparse
 import collections
 import contextlib
 import dataclasses
+import errno
 import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -291,6 +295,45 @@ def test_unwritable_out_is_a_config_error(tmp_path, warm_tables, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+STDOUT_ARGV = [
+    ("run", "line1q"),
+    ("run", "line1q", "--format", "table-text"),
+    ("equiv", "cycle-line", "--count", "1"),
+    ("tables", "line1q"),
+    ("oracle-check", "line1q", "--count", "1"),
+]
+
+
+def broken_pipe(*args):
+    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("argv", STDOUT_ARGV)
+def test_failed_stdout_write_is_a_config_error(argv, method, warm_tables, capsys, monkeypatch):
+    broken = type("BrokenStdout", (io.StringIO,), {method: broken_pipe})
+    monkeypatch.setattr(sys, "stdout", broken())
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("run", "line1q"), ("oracle-check", "line1q", "--count", "1")])
+def test_report_to_a_full_device_is_one_error_line(argv):
+    # No traceback, and nothing from the interpreter's own flush at exit: a
+    # report smaller than the stdout buffer would still be in it then.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkport.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -556,6 +599,9 @@ WRITER_ARGV = [
     ("run", "single2q", "--seed", "4", "--format", "table-text"),
     ("run", "cycle1q", "--corrupt-table", "02"),
     ("run", "twostep2q", "--count", "3"),
+    # Payloads 50-59 are not rendered in table-text, and blocks 1 and 10 must not mix.
+    ("run", "line1q", "--count", "60", "--format", "table-text"),
+    ("run", "cycle1q", "--count", "60"),
 ]
 
 
@@ -678,12 +724,12 @@ TRICKY_KEYS = (("P%s", '"+'), ("%%", "-\\"), ("\u00e9", "\u2028\U0001f600"), (""
 
 
 @pytest.mark.parametrize("depth", [0, 3, None])
-def test_branch_template_encodes_keys_like_json_dumps(depth):
+def test_branch_template_encodes_keys_like_json_dumps(depth, tmp_path):
     template = cli.branch_template(TRICKY_KEYS, depth)
     fids, probs = [1.0, 0.0, math.nan, 0.5], [0.25, 1 / 3, -0.0, math.inf]
     dyadics, vacs = ["1/4", None, "0", None], [False, True, True, False]
     slots = zip(fids, probs, dyadics, vacs)
-    text = template % tuple(cli.json_text(value) for branch in slots for value in branch)
+    block = template % tuple(json.dumps(value) for branch in slots for value in branch)
     rows = [
         {
             "position": position,
@@ -695,30 +741,14 @@ def test_branch_template_encodes_keys_like_json_dumps(depth):
         }
         for (position, coin), f, p, d, v in zip(TRICKY_KEYS, fids, probs, dyadics, vacs)
     ]
-    if depth is None:
-        assert text == json.dumps(rows, sort_keys=True)
-    else:
-        # At depth 3, as a run payload's branch list sits in its report.
-        nest = {"payloads": [{"branches": rows}]} if depth else rows
-        got = {"payloads": [{"branches": cli.Verbatim(text)}]} if depth else cli.Verbatim(text)
-        assert cli.report_text(got) == reference_text(nest)
-
-
-def test_report_writer_copies_verbatim_and_rejects_other_str_subclasses():
-    text = cli.report_text({"a": [cli.Verbatim('{"x": %s}')]})
-    assert text == '{\n  "a": [\n    {"x": %s}\n  ]\n}\n'
-
-    class Other(str):
-        pass
-
-    class SubVerbatim(cli.Verbatim):
-        pass
-
-    for bad in (Other("a"), SubVerbatim("a")):
-        with pytest.raises(TypeError):
-            cli.report_text({"a": bad})
-        with pytest.raises(TypeError):
-            cli.json_text([bad], None)
+    # emit splices the block in where a report holds payload 0's placeholder:
+    # at depth 3 as in a run report, and at depth None as in its table-text.
+    report = {"payloads": [{"branches": "\x000"}]} if depth != 0 else "\x000"
+    nest = {"payloads": [{"branches": rows}]} if depth != 0 else rows
+    fmt, reference = ("table-text", reference_table_text) if depth is None else ("json", reference_text)
+    out = tmp_path / "report"
+    cli.emit(report, argparse.Namespace(out=str(out), format=fmt), [block])
+    assert out.read_text() == reference(nest)
 
 
 def test_report_writer_writes_every_table_file(tmp_path, warm_tables, checked_writer):
@@ -726,46 +756,6 @@ def test_report_writer_writes_every_table_file(tmp_path, warm_tables, checked_wr
     files = sorted(tmp_path.iterdir())
     assert len(files) == 17
     assert sorted(checked_writer) == sorted(f.read_text() for f in files)
-
-
-TRICKY_TEXT = st.text(
-    st.one_of(st.sampled_from('"\\%/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
-    max_size=6,
-)
-JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(2**200), max_value=2**200),
-    st.floats(),
-    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
-    st.floats().map(np.float64),
-    TRICKY_TEXT,
-)
-JSON_TREES = st.recursive(
-    JSON_SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(TRICKY_TEXT, children, max_size=4),
-    ),
-    max_leaves=30,
-)
-
-
-@given(tree=st.lists(JSON_TREES, min_size=1, max_size=3))
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_report_writer_matches_json_dumps_on_any_tree(tree):
-    # Repeated subtrees exercise the per-call templates and float texts.
-    doc = {"trees": tree, "again": tree, "nested": {"": {}, "%s": [[], {}]}}
-    assert cli.report_text(doc) == reference_text(doc)
-    assert cli.json_text(doc, None) == json.dumps(doc, sort_keys=True)
-
-
-@pytest.mark.parametrize("bad", [{1: "a"}, {"a": [{"b": 0, None: 1}]}, {"a": {("t",): 0}}])
-def test_report_writer_rejects_non_str_keys(bad):
-    with pytest.raises(TypeError):
-        cli.report_text(bad)
 
 
 def test_dyadic_runs_once_per_distinct_probability(tmp_path, warm_tables, monkeypatch):
