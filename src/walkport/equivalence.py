@@ -90,15 +90,15 @@ def _mismatched_rows(outcome_pairs, left, right) -> tuple[tuple[str, str, str], 
 @functools.cache
 def outcome_bijection(
     single: ProtocolSpec, twostep: ProtocolSpec
-) -> tuple[list[tuple[str, str, str]], np.ndarray, np.ndarray]:
+) -> tuple[tuple[tuple[str, str], ...], list[tuple[str, str, str]], np.ndarray, np.ndarray]:
     """The position outcomes paired by bitwise-equal branch maps.
 
     Keys are sorted and every outcome has every coin, so an outcome's
     branches are one contiguous CSR slice of ``branch_maps(spec).matrix``.
     Its key is the coins and the slice's (relative ``indptr``, ``indices``,
-    ``data``) bytes.  Returns the paired branches as (single outcome,
-    twostep outcome, coin) names, in single's family order and then sorted
-    coin order, and the two row-index arrays into each protocol's branches.
+    ``data``) bytes.  Returns the (single, twostep) outcome pairs in single's
+    family order, their branches as (single, twostep, coin) names in pair and
+    then sorted coin order, and the row-index arrays into each side's branches.
     Raises ``MappingIncomplete`` unless every outcome on both sides has
     exactly one partner.  Cached per (spec, spec).
     """
@@ -123,14 +123,11 @@ def outcome_bijection(
                 f"the branch maps pair {single.id} outcomes {singles} with "
                 f"{twostep.id} outcomes {twosteps}; each needs exactly one partner"
             )
-    names = [
-        (src, dst, coin)
-        for (coins, *_), ((src,), (dst,)) in groups.items()
-        for coin in coins
-    ]
+    pairs = tuple((src, dst) for (src,), (dst,) in groups.values())
+    names = [(src, dst, coin) for (coins, *_), (src, dst) in zip(groups, pairs) for coin in coins]
     si = np.array([rows[0][src, coin] for src, _, coin in names], dtype=int)
     ti = np.array([rows[1][dst, coin] for _, dst, coin in names], dtype=int)
-    return names, si, ti
+    return pairs, names, si, ti
 
 
 def check_two_qubit_equivalence(
@@ -142,8 +139,7 @@ def check_two_qubit_equivalence(
     """Compare every mapped branch pair and the two synthesized tables."""
     single = get_protocol("single2q")
     twostep = get_protocol("twostep2q")
-    names, si, ti = outcome_bijection(single, twostep)
-    outcome_pairs = tuple(dict.fromkeys((src, dst) for src, dst, _ in names))
+    outcome_pairs, names, si, ti = outcome_bijection(single, twostep)
     table_s = single_table if single_table is not None else synthesized_table(single)
     table_t = twostep_table if twostep_table is not None else synthesized_table(twostep)
 
@@ -214,7 +210,7 @@ def cycle_line_pairs(line: ProtocolSpec, cyc: ProtocolSpec) -> tuple[tuple[str, 
 
 @functools.cache
 def cycle_line_difference(line: ProtocolSpec, cyc: ProtocolSpec) -> np.ndarray:
-    """Line walk map mod 4 minus cycle walk map, over the sorted cycle labels; cached."""
+    """Line walk map mod 4 minus cycle walk map, over the sorted union of labels; cached."""
     line_labels, line_walks = walk_map(line)
     cycle_labels, cycle_walks = walk_map(cyc)
     reduced = [_reduce_mod4(label, line.layout.registers) for label in line_labels]

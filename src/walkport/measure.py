@@ -94,48 +94,48 @@ def check_orthogonal(projectors: Sequence[ProjectorSpec]) -> None:
                 )
 
 
+def walsh(n: int) -> np.ndarray:
+    """The ``n × n`` Sylvester sign matrix: entry ``(r, k)`` is ``(-1)^popcount(r & k)``.
+
+    Row ``r`` holds outcome ``r``'s signs over a family's sorted members and
+    over the measured coins' basis indices, and ``Z^r``'s signs over the
+    target coins' basis indices.  ``n`` is a power of two.
+    """
+    idx = np.arange(n)
+    return np.where(np.bitwise_count(idx[:, None] & idx) & 1, -1, 1)
+
+
 def position_projectors(family: PositionFamily) -> list[ProjectorSpec]:
     """The orthonormal outcomes measuring one position family.
 
-    The members are combined with sign patterns, the reading that keeps
-    every payload component alive.  Measuring the members one by one is the
-    same reading over a spec whose families are the single members.
+    The members are combined with sign patterns (rows of ``walsh``), the
+    reading that keeps every payload component alive.  Measuring them one by
+    one is the same reading over a spec whose families are the single members.
     """
-    w = 1.0 / math.sqrt(family.outcome_count)
+    m = family.outcome_count
     projs = [
-        ProjectorSpec(
-            family.outcome_name(r),
-            family.registers,
-            tuple((member, s * w) for member, s in zip(family.members, family.signs(r))),
-        )
-        for r in range(family.outcome_count)
+        ProjectorSpec(family.outcome_name(r), family.registers, tuple(zip(family.members, row)))
+        for r, row in enumerate((walsh(m) * (1.0 / math.sqrt(m))).tolist())
     ]
     check_orthogonal(projs)
     return projs
 
 
-def coin_outcome_name(spec: ProtocolSpec, signs: tuple[int, ...]) -> str:
-    chars = ["+" if s > 0 else "-" for s in signs]
+def coin_outcome_name(spec: ProtocolSpec, r: int) -> str:
+    """Coin outcome ``r``: '+' or '-' per measured coin, the first coin most significant."""
+    chars = format(r, f"0{len(spec.measured_coins)}b").replace("0", "+").replace("1", "-")
     q = spec.qubits
-    return "".join(chars[:q]) + ("," + "".join(chars[q:]) if q > 1 else "".join(chars[q:]))
+    return chars[:q] + "," + chars[q:] if q > 1 else chars
 
 
 def coin_projectors(spec: ProtocolSpec) -> list[ProjectorSpec]:
-    """Sign-basis outcomes on the measured coins, '+' before '-'."""
+    """Sign-basis outcomes (rows of ``walsh``) on the measured coins, '+' before '-'."""
     n = len(spec.measured_coins)
-    w = (1.0 / math.sqrt(2.0)) ** n
-    projs = []
-    for signs in itertools.product((1, -1), repeat=n):
-        terms = []
-        for bits in itertools.product((0, 1), repeat=n):
-            sign = 1
-            for s, b in zip(signs, bits):
-                if s < 0 and b == 1:
-                    sign = -sign
-            terms.append((bits, sign * w))
-        projs.append(
-            ProjectorSpec(coin_outcome_name(spec, signs), spec.measured_coins, tuple(terms))
-        )
+    bits = list(itertools.product((0, 1), repeat=n))
+    projs = [
+        ProjectorSpec(coin_outcome_name(spec, r), spec.measured_coins, tuple(zip(bits, row)))
+        for r, row in enumerate((walsh(1 << n) * (1.0 / math.sqrt(2.0)) ** n).tolist())
+    ]
     check_orthogonal(projs)
     return projs
 
@@ -206,10 +206,10 @@ class CorrectionTable:
         cache_key = (keys, layout)
         if cache_key not in self._permutations:
             masks = [pauli_masks(self.get(*key), layout.names) for key in keys]
-            x, z, s = (np.array(column)[:, None] for column in zip(*masks))
+            x, z, s = (np.array(column) for column in zip(*masks))
             idx = np.arange(1 << len(layout))
-            sign = np.where(np.bitwise_count(idx & z) & 1, -s, s).astype(float)
-            self._permutations[cache_key] = (idx ^ x, sign)
+            sign = (walsh(len(idx))[z] * s[:, None]).astype(float)
+            self._permutations[cache_key] = (idx ^ x[:, None], sign)
         return self._permutations[cache_key]
 
     def to_json_dict(self) -> dict:
@@ -434,25 +434,30 @@ def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
     member_row = {m: k for k, m in enumerate(m for f in families for m in f.members)}
     coin_dim, dim = 1 << len(coins), 1 << len(targets)
     labels, walks = walk_map(spec)
-    finals = sparse.dok_matrix((len(member_row) * coin_dim, dim * d * d), dtype=complex)
-    for (k, col), amp in walks.todok().items():
-        label = labels[k]
-        row = member_row.get(tuple(label[i] for i in positions))
-        if row is not None:
-            c = bits_to_index(tuple(label[i] for i in coins))
-            t = bits_to_index(tuple(label[i] for i in targets))
-            finals[row * coin_dim + c, t * d * d + col] = amp
-
-    # Projector terms run over the members, and over the coin bits in index order.
-    pos_projs = [position_projectors(f) for f in families]
-    coin_projs = coin_projectors(spec)
-    wp = sparse.block_diag(
-        [[[w.conjugate() for _, w in p.terms] for p in projs] for projs in pos_projs]
+    entries = walks.tocoo()
+    member = np.array([member_row.get(tuple(l[i] for i in positions), -1) for l in labels])
+    coin, target = (
+        np.array([bits_to_index(tuple(l[i] for i in regs)) for l in labels])
+        for regs in (coins, targets)
     )
-    wc = np.array([[w.conjugate() for _, w in p.terms] for p in coin_projs])
-    names = [(p.name, c.name) for projs in pos_projs for p in projs for c in coin_projs]
+    measured = member[entries.row] >= 0
+    k, col = entries.row[measured], entries.col[measured]
+    finals = sparse.csr_matrix(
+        (entries.data[measured], (member[k] * coin_dim + coin[k], target[k] * d * d + col)),
+        shape=(len(member_row) * coin_dim, dim * d * d),
+    )
+
+    # Weights run over the members, and over the coin bits in index order.
+    wp = sparse.block_diag(
+        [walsh(f.outcome_count) * (1.0 / math.sqrt(f.outcome_count)) for f in families]
+    )
+    wc = walsh(coin_dim) * (1.0 / math.sqrt(2.0)) ** len(coins)
+    coin_names = [coin_outcome_name(spec, c) for c in range(coin_dim)]
+    names = [
+        (f.outcome_name(r), c) for f in families for r in range(f.outcome_count) for c in coin_names
+    ]
     order = sorted(range(len(names)), key=names.__getitem__)
-    branches = sparse.kron(wp, wc, format="csr") @ finals.tocsr()
+    branches = sparse.kron(wp, wc, format="csr") @ finals
     matrix = branches[order].reshape((len(names) * dim, d * d)).tocsr()
     target_layout = RegisterLayout(layout.register(name) for name in spec.target_coins)
     return BranchMaps(tuple(names[b] for b in order), matrix, target_layout)
@@ -515,7 +520,7 @@ def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:
     flips = (np.asarray(diagonal).reshape(n, len(bits)) * lam.conj()[:, None]).real < 0
     zmask = flips @ bits
     # Every block's lam * Z^z X^x, with its columns put back by the swap.
-    signs = np.where(np.bitwise_count(idx & zmask[:, None]) & 1, -1.0, 1.0)
+    signs = walsh(dim)[zmask]
     expected = sparse.csr_matrix(
         (
             (lam[:, None] * signs).ravel(),

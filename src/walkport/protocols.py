@@ -107,8 +107,9 @@ class PositionFamily:
     """A disjoint set of position tuples measured as one orthonormal family.
 
     Members are kept sorted; outcome ``r`` is the superposition whose sign
-    on member ``k`` is (-1)^popcount(r & k), i.e. the sign-pattern basis
-    over the members.  Families of size 1 have a single plain outcome.
+    on member ``k`` is (-1)^popcount(r & k), row ``r`` of ``measure.walsh``:
+    the sign-pattern basis over the members.  Families of size 1 have a
+    single plain outcome.
     """
 
     name: str
@@ -128,9 +129,6 @@ class PositionFamily:
 
     def outcome_name(self, r: int) -> str:
         return self.name if len(self.members) == 1 else f"{self.name}:{r}"
-
-    def signs(self, r: int) -> tuple[int, ...]:
-        return tuple(-1 if (r & k).bit_count() % 2 else 1 for k in range(len(self.members)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -334,6 +334,29 @@ def test_report_to_a_full_device_is_one_error_line(argv):
     assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
+def test_no_verb_imports_scipy_linalg(tmp_path):
+    # Importing scipy.linalg adds about a quarter to the import time of a fresh process.
+    script = """
+import sys
+from walkport import cli
+for argv in (
+    ["run", "line1q"],
+    ["equiv", "two-qubit", "--count", "1"],
+    ["tables", "line1q"],
+    ["oracle-check", "line1q", "--count", "1"],
+):
+    assert cli.main([*argv, "--out", sys.argv[1]]) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -56,9 +56,9 @@ def test_member_bijection_structure():
 
 def test_derived_bijection_equals_the_hand_pairing(warm_tables):
     single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
-    names, si, ti = equivalence.outcome_bijection(single, twostep)
-    pairs = list(dict.fromkeys((src, dst) for src, dst, _ in names))
-    assert pairs == hand_outcome_pairs(two_qubit_mapping())
+    pairs, names, si, ti = equivalence.outcome_bijection(single, twostep)
+    assert pairs == tuple(dict.fromkeys((src, dst) for src, dst, _ in names))
+    assert list(pairs) == hand_outcome_pairs(two_qubit_mapping())
     assert len(pairs) == 81 and len(names) == 81 * 16
     maps_s, maps_t = measure.branch_maps(single), measure.branch_maps(twostep)
     assert [maps_s.keys[b] for b in si] == [(src, coin) for src, _, coin in names]
@@ -100,7 +100,7 @@ def test_spec_mutations_break_the_derived_bijection(warm_tables, pid, mutate):
 
 def test_outcome_bijection_requires_distinct_maps(warm_tables):
     single = get_protocol("single2q")
-    names, si, ti = equivalence.outcome_bijection(single, single)
+    _, names, si, ti = equivalence.outcome_bijection(single, single)
     assert (si == ti).all() and len(names) == 81 * 16
     # Its first jump off by one, single2q has only 54 distinct maps for 81
     # outcomes, so even paired with itself two outcomes share one map.
@@ -187,8 +187,7 @@ def test_mapped_table_comparison_is_cached_per_table_pair(warm_tables):
 
 def test_mapped_branch_rows_reject_an_unknown_outcome(warm_tables):
     single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
-    names, _, _ = equivalence.outcome_bijection(single, twostep)
-    (src, dst), *rest = dict.fromkeys((s, d) for s, d, _ in names)
+    ((src, dst), *rest), *_ = equivalence.outcome_bijection(single, twostep)
     with pytest.raises(MappingIncomplete, match=rf"table row missing for \({src}x, {dst}, "):
         equivalence.mapped_table_mismatches(
             ((src + "x", dst), *rest),

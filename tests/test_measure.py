@@ -380,6 +380,14 @@ def test_get_protocol_is_one_spec_per_configuration():
     assert get_protocol("line1q", bound=4) is not LINE
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_walsh_is_the_sign_rule_and_orthogonal(m):
+    w = measure.walsh(m)
+    assert w.shape == (m, m) and set(np.unique(w).tolist()) <= {-1, 1}
+    assert np.array_equal(w @ w.T, m * np.eye(m, dtype=int))
+    assert all(w[r, k] == (-1) ** (r & k).bit_count() for r in range(m) for k in range(m))
+
+
 def reference_branch_maps(spec):
     """Branch maps by the sparse engine, branch by branch (the loop the
     compiled product replaced): column ``i*d + j`` is ``branch_finals`` of the
@@ -491,7 +499,13 @@ def test_first_failing_key_is_named_when_later_keys_fail_too(warm_tables):
 
 
 def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
-    calls = {"run_walks": 0, "project": 0, "branch_finals": 0}
+    calls = {
+        "run_walks": 0,
+        "project": 0,
+        "branch_finals": 0,
+        "position_projectors": 0,
+        "coin_projectors": 0,
+    }
 
     def counted(name):
         original = getattr(measure, name)
@@ -511,6 +525,7 @@ def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
         measure.compile_branch_maps(spec)
         assert calls["run_walks"] - before == 4**spec.qubits
     assert (calls["project"], calls["branch_finals"]) == (0, 0)
+    assert (calls["position_projectors"], calls["coin_projectors"]) == (0, 0)
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)

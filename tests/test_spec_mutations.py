@@ -8,7 +8,7 @@ mutation applies only where the spec has the feature it changes:
 ``cycle1q`` has no Hadamard and only single-member families.
 
 Flipping one family's sign pattern is not a spec mutation: the signs are
-derived from the sorted members (``PositionFamily.signs``), not stored.
+derived from the sorted members (rows of ``measure.walsh``), not stored.
 
 The exhaustive gate below generates every single-point mutant of each kind
 and requires each to be caught, or to compile to the spec's own maps.
@@ -194,8 +194,6 @@ def test_every_single_point_mutant_is_caught_or_compiles_to_the_spec_maps(monkey
     monkeypatch.setattr(
         measure, "branch_maps", functools.lru_cache(maxsize=1)(measure.compile_branch_maps)
     )
-    # Families are compared by value, so mutants with equal families share projectors.
-    monkeypatch.setattr(measure, "position_projectors", functools.cache(measure.position_projectors))
     verdicts = collections.Counter()
     for pid in PROTOCOL_IDS:
         for kind in MUTANT_KINDS:
