@@ -1,7 +1,7 @@
 """Simulator and exhaustive verifier for bidirectional quantum-walk teleportation."""
 
 from .errors import WalkportError
-from .hilbert import RegisterLayout, SparseState, basis_state, inner_product, superpose
+from .hilbert import RegisterLayout, SparseState, superpose
 from .measure import (
     BranchResult,
     CorrectionTable,
@@ -32,11 +32,9 @@ __all__ = [
     "RegisterLayout",
     "SparseState",
     "WalkportError",
-    "basis_state",
     "build_initial",
     "enumerate_branches",
     "get_protocol",
-    "inner_product",
     "project",
     "random_payload",
     "run_walks",

@@ -72,16 +72,18 @@ def parse_amplitudes(text: str) -> np.ndarray:
 
 
 DYADIC_TOL = 1e-9
-DYADIC_MAX_POWER = 20
+DYADIC_DENOM = 1 << 20
 
 
 def dyadic(p: float) -> str | None:
-    """Nearest small dyadic rational (denominator at most 2**20) as a string, if within 1e-9."""
-    for power in range(DYADIC_MAX_POWER + 1):
-        denom = 1 << power
-        num = round(p * denom)
-        if abs(p - num / denom) <= DYADIC_TOL:
-            return str(Fraction(num, denom))
+    """Nearest small dyadic rational (denominator at most 2**20) as a string, if within 1e-9.
+
+    Every such rational lies on the 2**-20 grid, whose spacing (9.5e-7) far
+    exceeds the tolerance, so the nearest grid point is the only candidate.
+    """
+    num = round(p * DYADIC_DENOM)
+    if abs(p - num / DYADIC_DENOM) <= DYADIC_TOL:
+        return str(Fraction(num, DYADIC_DENOM))
     return None
 
 

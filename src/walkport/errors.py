@@ -30,10 +30,6 @@ class EmptyState(WalkportError):
     """A state was requested from an empty term list."""
 
 
-class LayoutMismatch(WalkportError):
-    """Two states with different register layouts were combined."""
-
-
 class WrongRegisterKind(WalkportError):
     """An operation targeted a register of the wrong kind."""
 

@@ -21,7 +21,6 @@ from .errors import (
     EmptyState,
     InvalidDefinition,
     InvalidLabel,
-    LayoutMismatch,
     NonFiniteAmplitude,
     NotUnitary,
     UnknownRegister,
@@ -39,9 +38,6 @@ Label = tuple[int, ...]
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -157,10 +153,6 @@ class RegisterLayout:
     def descriptor(self) -> list[dict]:
         return [{"name": r.name, "kind": r.kind, "size": r.size} for r in self.registers]
 
-    @classmethod
-    def from_descriptor(cls, desc: Iterable[Mapping]) -> "RegisterLayout":
-        return cls(Register(d["name"], d["kind"], int(d.get("size", 0))) for d in desc)
-
 
 class SparseState:
     """Immutable sparse wavefunction: a map from basis labels to amplitudes.
@@ -245,20 +237,6 @@ class SparseState:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SparseState":
-        layout = RegisterLayout.from_descriptor(data["layout"])
-        amps = {
-            tuple(entry["label"]): complex(entry["re"], entry["im"])
-            for entry in data["amps"]
-        }
-        return cls(layout, amps)
-
-
-def basis_state(layout: RegisterLayout, label: Iterable[int], tol: float = PRUNE_TOL) -> SparseState:
-    """Single-basis-vector state |label>."""
-    return SparseState(layout, {layout.validate_label(label): 1.0 + 0.0j}, tol)
-
 
 def superpose(
     layout: RegisterLayout,
@@ -275,18 +253,6 @@ def superpose(
     if count == 0:
         raise EmptyState("superpose needs at least one term")
     return SparseState(layout, amps, tol)
-
-
-def inner_product(x: SparseState, y: SparseState) -> complex:
-    """<x|y>, conjugating x."""
-    if x.layout != y.layout:
-        raise LayoutMismatch("inner product needs matching layouts")
-    if len(x) > len(y):
-        return inner_product(y, x).conjugate()
-    return sum(
-        (amp.conjugate() * y._amps[label] for label, amp in x._amps.items() if label in y._amps),
-        0.0 + 0.0j,
-    )
 
 
 def check_unitary(gate: np.ndarray, tol: float = GATE_TOL) -> None:

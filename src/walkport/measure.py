@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -178,7 +179,8 @@ class CorrectionTable:
 
     A row lists (register, op) pairs with op in {X, Z, ZX}; identity rows
     are empty lists.  Rows apply right to left, matching how composed
-    corrections are written.
+    corrections are written.  The rows are copied into a read-only mapping,
+    so the permutations cached on the table always match them.
     """
 
     protocol: str
@@ -186,6 +188,9 @@ class CorrectionTable:
     _permutations: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
 
     def get(self, position: str, coin: str) -> tuple[tuple[str, str], ...]:
         try:

@@ -10,8 +10,10 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -38,6 +40,29 @@ def test_dyadic():
     assert dyadic(1 / 16) == "1/16"
     assert dyadic(0.25) == "1/4"
     assert dyadic(1 / 3) is None
+
+
+def reference_dyadic(p: float) -> str | None:
+    """The smallest denominator 2**k, k <= 20, with a numerator within 1e-9 of p."""
+    for power in range(21):
+        denom = 1 << power
+        num = round(p * denom)
+        if abs(p - num / denom) <= 1e-9:
+            return str(Fraction(num, denom))
+    return None
+
+
+def test_dyadic_equals_the_denominator_search():
+    # Every grid point k / 2**j of [0, 1] for j <= 12, a sample of finer
+    # ones up to 2**-22, each shifted across the tolerance's edge, and
+    # uniform draws.
+    rng = np.random.default_rng(20)
+    grid = [k / (1 << j) for j in range(13) for k in range((1 << j) + 1)]
+    grid += [int(k) / (1 << j) for j in range(13, 23) for k in rng.integers(0, 1 << j, 500)]
+    shifts = (0.0, 2e-16, 5e-10, 9.9e-10, 1e-9, 1.01e-9)
+    values = [p + sign * s for p in grid for s in shifts for sign in (1, -1)]
+    values += list(rng.random(20_000)) + [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 2.0, -0.25]
+    assert [dyadic(p) for p in values] == [reference_dyadic(p) for p in values]
 
 
 def test_family_selection():
@@ -338,6 +363,7 @@ def test_no_verb_imports_scipy_linalg(tmp_path):
     # Importing scipy.linalg adds about a quarter to the import time of a fresh process.
     script = """
 import sys
+from fractions import Fraction
 from walkport import cli
 for argv in (
     ["run", "line1q"],

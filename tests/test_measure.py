@@ -163,6 +163,25 @@ def test_verify_branch_detects_missing_correction():
     assert abs(direct - bad.fidelity) < 1e-12
 
 
+def test_table_rows_are_a_frozen_copy(warm_tables):
+    # The table caches signed permutations of its rows, so a caller that
+    # edits its dict afterwards must change neither the rows nor the scores.
+    source = dict(synthesized_table(LINE).rows)
+    table = CorrectionTable("line1q", source)
+    payloads = seeded_payloads(71, 3, 1)
+    before = [enumerate_branches(LINE, p, table).fidelities for p in payloads]
+    snapshot = dict(source)
+    for key, ops in source.items():
+        source[key] = (("a_out", "Z"), *ops)
+    assert dict(table.rows) == snapshot
+    for payload, fidelities in zip(payloads, before):
+        assert np.array_equal(enumerate_branches(LINE, payload, table).fidelities, fidelities)
+    edited = CorrectionTable("line1q", source)
+    assert enumerate_branches(LINE, payloads[0], edited).fidelities.max() < 0.99
+    with pytest.raises(TypeError):
+        table.rows[("00", "++")] = ()
+
+
 def test_missing_correction_raises(payload_1q):
     table = CorrectionTable("line1q", {})
     with pytest.raises(MissingCorrection):

@@ -21,9 +21,10 @@ import itertools
 
 import pytest
 
+from states import IDENTITY_2, PAULI_X, PAULI_Z
 from walkport import measure
 from walkport.errors import NoPauliCorrection
-from walkport.hilbert import HADAMARD, IDENTITY_2, PAULI_X, PAULI_Z
+from walkport.hilbert import HADAMARD
 from walkport.protocols import PROTOCOL_IDS, get_protocol
 from walkport.walkops import STEP_SIZES
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import chains
-from states import allclose
+from states import allclose, basis_state
 from walkport.errors import OutOfBounds, WrongRegisterKind
-from walkport.hilbert import RegisterLayout, basis_state, coin, cycle, lattice, superpose
+from walkport.hilbert import RegisterLayout, coin, cycle, lattice, superpose
 from walkport.protocols import build_initial, get_protocol, random_payload, walk_states
 from walkport.walkops import (
     ConditionedShift,
