@@ -5,9 +5,7 @@ from .hilbert import RegisterLayout, SparseState, superpose
 from .measure import (
     BranchResult,
     CorrectionTable,
-    ProjectorSpec,
     enumerate_branches,
-    project,
     synthesized_table,
 )
 from .protocols import (
@@ -27,7 +25,6 @@ __all__ = [
     "CorrectionTable",
     "PROTOCOL_IDS",
     "Payload",
-    "ProjectorSpec",
     "ProtocolSpec",
     "RegisterLayout",
     "SparseState",
@@ -35,7 +32,6 @@ __all__ = [
     "build_initial",
     "enumerate_branches",
     "get_protocol",
-    "project",
     "random_payload",
     "run_walks",
     "superpose",

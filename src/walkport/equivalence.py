@@ -20,13 +20,12 @@ import functools
 import numpy as np
 
 from .errors import MappingIncomplete
-from .hilbert import SparseState
+from .hilbert import SparseState, read_only
 from .measure import (
     branch_maps,
     enumerate_branches,
     pauli_masks,
     project,
-    position_projectors,
     synthesized_table,
     walk_map,
 )
@@ -90,7 +89,7 @@ def _mismatched_rows(outcome_pairs, left, right) -> tuple[tuple[str, str, str], 
 @functools.cache
 def outcome_bijection(
     single: ProtocolSpec, twostep: ProtocolSpec
-) -> tuple[tuple[tuple[str, str], ...], list[tuple[str, str, str]], np.ndarray, np.ndarray]:
+) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str, str], ...], np.ndarray, np.ndarray]:
     """The position outcomes paired by bitwise-equal branch maps.
 
     Keys are sorted and every outcome has every coin, so an outcome's
@@ -98,9 +97,9 @@ def outcome_bijection(
     Its key is the coins and the slice's (relative ``indptr``, ``indices``,
     ``data``) bytes.  Returns the (single, twostep) outcome pairs in single's
     family order, their branches as (single, twostep, coin) names in pair and
-    then sorted coin order, and the row-index arrays into each side's branches.
-    Raises ``MappingIncomplete`` unless every outcome on both sides has
-    exactly one partner.  Cached per (spec, spec).
+    then sorted coin order, and the read-only row-index arrays into each
+    side's branches.  Raises ``MappingIncomplete`` unless every outcome on
+    both sides has exactly one partner.  Cached per (spec, spec).
     """
     groups: dict[tuple, tuple[list[str], list[str]]] = {}
     rows = []
@@ -124,9 +123,12 @@ def outcome_bijection(
                 f"{twostep.id} outcomes {twosteps}; each needs exactly one partner"
             )
     pairs = tuple((src, dst) for (src,), (dst,) in groups.values())
-    names = [(src, dst, coin) for (coins, *_), (src, dst) in zip(groups, pairs) for coin in coins]
+    names = tuple(
+        (src, dst, coin) for (coins, *_), (src, dst) in zip(groups, pairs) for coin in coins
+    )
     si = np.array([rows[0][src, coin] for src, _, coin in names], dtype=int)
     ti = np.array([rows[1][dst, coin] for _, dst, coin in names], dtype=int)
+    read_only(si, ti)
     return pairs, names, si, ti
 
 
@@ -219,7 +221,7 @@ def cycle_line_difference(line: ProtocolSpec, cyc: ProtocolSpec) -> np.ndarray:
     difference = np.zeros((len(labels), cycle_walks.shape[1]), dtype=complex)
     np.add.at(difference, [row[label] for label in reduced], line_walks.toarray())
     np.subtract.at(difference, [row[label] for label in cycle_labels], cycle_walks.toarray())
-    difference.setflags(write=False)  # shared by every caller
+    read_only(difference)
     return difference
 
 
@@ -275,8 +277,8 @@ def _origin_residual_spot_check(
     sits on 1010, which is also what the factorized product form requires.
     """
     family = next(f for f in spec.position_families if f.name == "00")
-    (proj,) = position_projectors(family)
-    _, residual = project(state, proj)
+    (member,) = family.members
+    _, residual = project(state, family.registers, {member: 1.0})
     printed = residual.amplitude((1, 1, 1, 1))
     corrected = residual.amplitude((1, 0, 1, 0))
     # The renormalized origin residual carries a_i * b_j directly.

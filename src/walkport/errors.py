@@ -54,10 +54,6 @@ class NotNormalized(WalkportError):
     """A payload vector is not unit norm."""
 
 
-class MalformedProjector(WalkportError):
-    """A projector family violates normalization or orthogonality."""
-
-
 class MissingCorrection(WalkportError):
     """A measurement outcome has no row in the correction table."""
 

@@ -255,6 +255,12 @@ def superpose(
     return SparseState(layout, amps, tol)
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Flag arrays that a per-process cache shares with every caller as read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+
+
 def check_unitary(gate: np.ndarray, tol: float = GATE_TOL) -> None:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):

@@ -12,8 +12,9 @@ branch compiles, once, to a small matrix of ``alice ⊗ bob``.  The sparse
 engine walks the basis payloads once per spec (``walk_map``), and one
 sparse product of the measurement weights with that map gives every branch
 (``compile_branch_maps``).  Verifying a payload is one sparse mat-vec.
-``project`` and ``branch_finals`` measure one state branch by branch; they
-remain as the reference the compiled maps are tested against.  Correction
+``project`` and ``branch_finals`` measure one state branch by branch,
+weighing each outcome by the same ``walsh`` row; they remain as the
+reference the compiled maps are tested against.  Correction
 tables are read off the maps in one vectorised pass: a branch is
 correctable exactly when its map is a Pauli string times the swap, which
 proves fidelity one for every payload.  The synthesized tables are the
@@ -37,16 +38,14 @@ import numpy as np
 from scipy import sparse
 
 from .errors import (
-    MalformedProjector,
     MissingCorrection,
     NoPauliCorrection,
     UnknownPauliOp,
     UnknownRegister,
 )
-from .hilbert import Label, RegisterLayout, SparseState
+from .hilbert import Label, RegisterLayout, SparseState, read_only
 from .protocols import (
     Payload,
-    PositionFamily,
     ProtocolSpec,
     bits_to_index,
     check_payload,
@@ -55,44 +54,10 @@ from .protocols import (
 
 VACUOUS_TOL = 1e-14
 RENORM_TOL_SQ = 1e-24
-PROJECTOR_TOL = 1e-12
 PAULI_TOL = 1e-10
 
 # Indexed by x + 2z for one coin's masks.
 PAULI_OPS = ("I", "X", "Z", "ZX")
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorSpec:
-    """One orthonormal measurement outcome on a subset of registers."""
-
-    name: str
-    registers: tuple[str, ...]
-    terms: tuple[tuple[Label, complex], ...]
-
-    def __post_init__(self) -> None:
-        norm2 = sum(abs(a) ** 2 for _, a in self.terms)
-        if abs(norm2 - 1.0) > PROJECTOR_TOL:
-            raise MalformedProjector(f"projector {self.name!r} has norm^2 {norm2!r}")
-        if len({l for l, _ in self.terms}) != len(self.terms):
-            raise MalformedProjector(f"projector {self.name!r} repeats a label")
-
-    def weights(self) -> dict[Label, complex]:
-        return dict(self.terms)
-
-
-def check_orthogonal(projectors: Sequence[ProjectorSpec]) -> None:
-    """Raise unless the projectors are pairwise orthogonal."""
-    for i, p in enumerate(projectors):
-        wp = p.weights()
-        for q in projectors[i + 1 :]:
-            overlap = sum(
-                wp[l].conjugate() * a for l, a in q.terms if l in wp
-            )
-            if abs(overlap) > PROJECTOR_TOL:
-                raise MalformedProjector(
-                    f"projectors {p.name!r} and {q.name!r} overlap by {abs(overlap):.3e}"
-                )
 
 
 def walsh(n: int) -> np.ndarray:
@@ -106,22 +71,6 @@ def walsh(n: int) -> np.ndarray:
     return np.where(np.bitwise_count(idx[:, None] & idx) & 1, -1, 1)
 
 
-def position_projectors(family: PositionFamily) -> list[ProjectorSpec]:
-    """The orthonormal outcomes measuring one position family.
-
-    The members are combined with sign patterns (rows of ``walsh``), the
-    reading that keeps every payload component alive.  Measuring them one by
-    one is the same reading over a spec whose families are the single members.
-    """
-    m = family.outcome_count
-    projs = [
-        ProjectorSpec(family.outcome_name(r), family.registers, tuple(zip(family.members, row)))
-        for r, row in enumerate((walsh(m) * (1.0 / math.sqrt(m))).tolist())
-    ]
-    check_orthogonal(projs)
-    return projs
-
-
 def coin_outcome_name(spec: ProtocolSpec, r: int) -> str:
     """Coin outcome ``r``: '+' or '-' per measured coin, the first coin most significant."""
     chars = format(r, f"0{len(spec.measured_coins)}b").replace("0", "+").replace("1", "-")
@@ -129,29 +78,19 @@ def coin_outcome_name(spec: ProtocolSpec, r: int) -> str:
     return chars[:q] + "," + chars[q:] if q > 1 else chars
 
 
-def coin_projectors(spec: ProtocolSpec) -> list[ProjectorSpec]:
-    """Sign-basis outcomes (rows of ``walsh``) on the measured coins, '+' before '-'."""
-    n = len(spec.measured_coins)
-    bits = list(itertools.product((0, 1), repeat=n))
-    projs = [
-        ProjectorSpec(coin_outcome_name(spec, r), spec.measured_coins, tuple(zip(bits, row)))
-        for r, row in enumerate((walsh(1 << n) * (1.0 / math.sqrt(2.0)) ** n).tolist())
-    ]
-    check_orthogonal(projs)
-    return projs
+def project(
+    state: SparseState, registers: Sequence[str], weights: Mapping[Label, complex]
+) -> tuple[float, SparseState]:
+    """Measure one outcome on ``registers``.
 
-
-def project(state: SparseState, proj: ProjectorSpec) -> tuple[float, SparseState]:
-    """Measure one outcome.
-
-    Returns the outcome probability and the renormalized post-measurement
-    state on the remaining registers (the zero state when the probability
-    is numerically zero).
+    ``weights`` maps each basis label of ``registers`` to the outcome's
+    amplitude.  Returns the outcome probability and the renormalized
+    post-measurement state on the remaining registers (the zero state when
+    the probability is numerically zero).
     """
-    indices = state.layout.subset(proj.registers)
+    indices = state.layout.subset(registers)
     keep = [i for i in range(len(state.layout)) if i not in indices]
-    rest_layout = state.layout.without(proj.registers)
-    weights = proj.weights()
+    rest_layout = state.layout.without(registers)
     amps: dict[Label, complex] = {}
     for label, amp in state.amps.items():
         w = weights.get(tuple(label[i] for i in indices))
@@ -163,10 +102,7 @@ def project(state: SparseState, proj: ProjectorSpec) -> tuple[float, SparseState
     if prob <= RENORM_TOL_SQ:
         return prob, SparseState(rest_layout, {}, state.tol)
     scale = 1.0 / math.sqrt(prob)
-    residual = SparseState(
-        rest_layout, {l: a * scale for l, a in amps.items()}, state.tol
-    )
-    return prob, residual
+    return prob, SparseState(rest_layout, {l: a * scale for l, a in amps.items()}, state.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +149,9 @@ class CorrectionTable:
             masks = [pauli_masks(self.get(*key), layout.names) for key in keys]
             x, z, s = (np.array(column) for column in zip(*masks))
             idx = np.arange(1 << len(layout))
-            sign = (walsh(len(idx))[z] * s[:, None]).astype(float)
-            self._permutations[cache_key] = (idx ^ x[:, None], sign)
+            src, sign = idx ^ x[:, None], (walsh(len(idx))[z] * s[:, None]).astype(float)
+            read_only(src, sign)
+            self._permutations[cache_key] = (src, sign)
         return self._permutations[cache_key]
 
     def to_json_dict(self) -> dict:
@@ -372,16 +309,25 @@ class Branches:
 def branch_finals(
     spec: ProtocolSpec, payload: Payload
 ) -> dict[tuple[str, str], tuple[float, SparseState]]:
-    """Probability and uncorrected target-coin residual for every branch."""
+    """Probability and uncorrected target-coin residual for every branch.
+
+    Outcome ``r`` weighs a family's members, or the coins' labels, by ``walsh`` row ``r``.
+    """
     state = run_walks(spec, payload)
     out: dict[tuple[str, str], tuple[float, SparseState]] = {}
-    coins = coin_projectors(spec)
+    n = len(spec.measured_coins)
+    bits = list(itertools.product((0, 1), repeat=n))
+    coins = [
+        (coin_outcome_name(spec, c), dict(zip(bits, row)))
+        for c, row in enumerate((walsh(1 << n) * (1.0 / math.sqrt(2.0)) ** n).tolist())
+    ]
     for family in spec.position_families:
-        for pproj in position_projectors(family):
-            p_pos, residual = project(state, pproj)
-            for cproj in coins:
-                p_coin, final = project(residual, cproj)
-                out[(pproj.name, cproj.name)] = (p_pos * p_coin, final)
+        m = family.outcome_count
+        for r, row in enumerate((walsh(m) * (1.0 / math.sqrt(m))).tolist()):
+            p_pos, residual = project(state, family.registers, dict(zip(family.members, row)))
+            for name, weights in coins:
+                p_coin, final = project(residual, spec.measured_coins, weights)
+                out[(family.outcome_name(r), name)] = (p_pos * p_coin, final)
     return out
 
 
@@ -419,7 +365,9 @@ def walk_map(spec: ProtocolSpec) -> tuple[tuple[Label, ...], sparse.csr_matrix]:
     basis = np.eye(d)
     walks = [run_walks(spec, Payload(basis[i], basis[j])) for i in range(d) for j in range(d)]
     labels = tuple(sorted(set().union(*(w.amps for w in walks))))
-    return labels, sparse.csr_matrix([[w.amplitude(label) for w in walks] for label in labels])
+    matrix = sparse.csr_matrix([[w.amplitude(label) for w in walks] for label in labels])
+    read_only(matrix.data, matrix.indices, matrix.indptr)
+    return labels, matrix
 
 
 def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
@@ -470,8 +418,10 @@ def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
 
 @functools.cache
 def branch_maps(spec: ProtocolSpec) -> BranchMaps:
-    """Compiled branch maps, cached per spec object (see ``get_protocol``)."""
-    return compile_branch_maps(spec)
+    """Compiled branch maps, cached per spec object (see ``get_protocol``); read only."""
+    maps = compile_branch_maps(spec)
+    read_only(maps.matrix.data, maps.matrix.indices, maps.matrix.indptr)
+    return maps
 
 
 def enumerate_branches(
@@ -508,7 +458,7 @@ def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:
     ``lam * X^x Z^z`` for one pair of masks, so ``Z^z X^x`` (an I, X, Z or
     ZX per target coin) returns the swapped payloads for every payload.
     Raises NoPauliCorrection if a branch map has no such form, which
-    signals a malformed projector family.
+    signals a measurement plan that loses the payloads.
     """
     maps = branch_maps(spec)
     matrix, dim, n = maps.matrix, maps.dim, len(maps.keys)

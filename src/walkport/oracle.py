@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionOverflow
-from .hilbert import COIN, LATTICE, PRUNE_TOL, Register, RegisterLayout, SparseState
+from .hilbert import COIN, LATTICE, PRUNE_TOL, Register, RegisterLayout, SparseState, read_only
 from .protocols import Payload, ProtocolSpec, get_protocol
 from .walkops import WalkStep
 
@@ -244,8 +244,10 @@ def apply_to_support(
 
 @functools.cache
 def cached_step_matrix(spec: ProtocolSpec, step_index: int) -> sp.csc_matrix:
-    """``step_matrix``, built once per spec object and step."""
-    return step_matrix(spec, step_index)
+    """``step_matrix``, built once per spec object and step; read only."""
+    matrix = step_matrix(spec, step_index)
+    read_only(matrix.data, matrix.indices, matrix.indptr)
+    return matrix
 
 
 @functools.cache

@@ -11,7 +11,7 @@ from walkport.errors import MappingIncomplete, NoPauliCorrection
 from walkport.hilbert import SparseState
 from walkport.protocols import PositionFamily, get_protocol, run_walks, seeded_payloads
 
-from test_spec_mutations import CASES, first_jump_off_by_one
+from test_spec_mutations import CASES, MUTANT_KINDS, first_jump_off_by_one, last_walk_map
 
 
 def two_qubit_mapping():
@@ -96,6 +96,44 @@ def test_spec_mutations_break_the_derived_bijection(warm_tables, pid, mutate):
     specs[pid] = mutate(specs[pid])
     with pytest.raises(MappingIncomplete):
         equivalence.outcome_bijection(specs["single2q"], specs["twostep2q"])
+
+
+def test_every_two_qubit_mutant_breaks_the_derived_bijection(warm_tables, monkeypatch):
+    # Each single-point mutant of either side, paired with the other built-in
+    # spec, must leave some outcome without exactly one partner; the step
+    # swaps compile to the spec's own maps and must pair as the specs do.
+    single, twostep = get_protocol("single2q"), get_protocol("twostep2q")
+    expected = equivalence.outcome_bijection(single, twostep)[0]
+    # Built-in specs keep their cached maps; mutants compile fresh and keep
+    # only the last walk map, as in the mutant gate.
+    monkeypatch.setattr(measure, "walk_map", last_walk_map(measure.walk_map.__wrapped__))
+    monkeypatch.setattr(
+        equivalence,
+        "branch_maps",
+        lambda spec: measure.branch_maps(spec)
+        if spec is get_protocol(spec.id)
+        else measure.compile_branch_maps(spec),
+    )
+    derive = equivalence.outcome_bijection.__wrapped__
+    verdicts = collections.Counter()
+    for side, spec in enumerate((single, twostep)):
+        for kind in MUTANT_KINDS:
+            for mutant in kind(spec):
+                pair = (mutant, twostep) if side == 0 else (single, mutant)
+                try:
+                    pairs = derive(*pair)[0]
+                except MappingIncomplete:
+                    verdicts[kind.__name__, "unpaired"] += 1
+                    continue
+                assert pairs == expected, (spec.id, kind.__name__)
+                verdicts[kind.__name__, "paired"] += 1
+    assert verdicts == {
+        ("hadamard_mutants", "unpaired"): 2 * 16,
+        ("shift_rule_mutants", "unpaired"): 2 * 48,
+        ("member_trade_mutants", "unpaired"): 2 * 27,
+        ("target_swap_mutants", "unpaired"): 2 * 6,
+        ("step_swap_mutants", "paired"): 2 * 6,
+    }
 
 
 def test_outcome_bijection_requires_distinct_maps(warm_tables):
@@ -431,6 +469,35 @@ def test_cycle_line_check_flags_a_mutated_cycle_walk(warm_tables, monkeypatch):
     assert equivalence.check_cycle_line_equivalence(payloads)["max_state_delta"] == 0.0
 
 
+def test_every_cycle_walk_mutant_moves_the_cycle_line_difference(warm_tables, monkeypatch):
+    # Mutants that change the cycle walk must move the compiled difference
+    # past the tolerance; step and target swaps leave the walk map as it is
+    # (table synthesis kills the target swap).
+    line, cycle = get_protocol("line1q"), get_protocol("cycle1q")
+    walk_map = measure.walk_map
+    monkeypatch.setattr(
+        equivalence,
+        "walk_map",
+        lambda spec: walk_map(spec) if spec is get_protocol(spec.id) else walk_map.__wrapped__(spec),
+    )
+    difference = equivalence.cycle_line_difference.__wrapped__
+    deltas = collections.defaultdict(list)
+    for kind in MUTANT_KINDS:
+        for mutant in kind(cycle):
+            deltas[kind.__name__].append(np.abs(difference(line, mutant)).max())
+    assert {kind: len(found) for kind, found in deltas.items()} == {
+        "hadamard_mutants": 4,
+        "plus_coin_mutants": 2,
+        "shift_rule_mutants": 24,
+        "step_swap_mutants": 6,
+        "target_swap_mutants": 1,
+    }
+    for kind in ("hadamard_mutants", "plus_coin_mutants", "shift_rule_mutants"):
+        assert min(deltas[kind]) > equivalence.EQUIV_TOL, kind
+    for kind in ("step_swap_mutants", "target_swap_mutants"):
+        assert max(deltas[kind]) == 0.0, kind
+
+
 def test_derived_cycle_line_pairs_equal_the_hand_map():
     line, cyc = get_protocol("line1q"), get_protocol("cycle1q")
     assert equivalence.cycle_line_pairs(line, cyc) == CYCLE_LINE_FAMILY_MAP
@@ -542,7 +609,7 @@ def test_origin_all_plus_rows_are_four_bit_flips(warm_tables):
 def test_origin_residuals_identical_across_protocols(warm_tables):
     # Projecting both walks onto their origin positions leaves literally the
     # same 16-term coin state (identical register names and labels).
-    from walkport.measure import position_projectors, project
+    from walkport.measure import project
     from walkport.protocols import random_payload, run_walks
     import numpy as np
 
@@ -551,8 +618,8 @@ def test_origin_residuals_identical_across_protocols(warm_tables):
     for pid, origin in (("single2q", "P0"), ("twostep2q", "Q0")):
         spec = get_protocol(pid)
         family = next(f for f in spec.position_families if f.name == origin)
-        (proj,) = position_projectors(family)
-        _, residual = project(run_walks(spec, payload), proj)
+        (member,) = family.members
+        _, residual = project(run_walks(spec, payload), family.registers, {member: 1.0})
         residuals.append(residual)
     assert len(residuals[0]) == 16
     assert residuals[0].max_delta(residuals[1]) < 1e-12

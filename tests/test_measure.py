@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from walkport import measure
+from walkport import equivalence, measure, oracle
 from walkport.errors import (
-    MalformedProjector,
     MissingCorrection,
     NoPauliCorrection,
     UnknownPauliOp,
@@ -17,20 +16,19 @@ from walkport.errors import (
 )
 from walkport.measure import (
     CorrectionTable,
-    ProjectorSpec,
     apply_pauli_string,
     branch_finals,
     branch_maps,
-    coin_projectors,
+    coin_outcome_name,
     corrupt_table,
     dense_on_targets,
     enumerate_branches,
     expected_output,
     pauli_masks,
-    position_projectors,
     project,
     synthesize_table,
     synthesized_table,
+    walsh,
 )
 from walkport.hilbert import RegisterLayout, SparseState
 from walkport.protocols import (
@@ -64,10 +62,25 @@ def _members(family):
     )
 
 
+def _position_weights(family):
+    """Each outcome's weights over the family's members, as branch_finals builds them."""
+    m = family.outcome_count
+    return [dict(zip(family.members, row)) for row in (walsh(m) * (1.0 / math.sqrt(m))).tolist()]
+
+
+def _coin_weights(spec):
+    """Each coin outcome's weights over the measured coins' labels, as branch_finals builds them."""
+    n = len(spec.measured_coins)
+    bits = list(itertools.product((0, 1), repeat=n))
+    rows = (walsh(1 << n) * (1.0 / math.sqrt(2.0)) ** n).tolist()
+    return [dict(zip(bits, row)) for row in rows]
+
+
 def test_project_origin_block_probability_and_residual(payload_1q):
     state = run_walks(LINE, payload_1q)
-    (proj,) = position_projectors(_family(LINE, "00"))
-    prob, residual = project(state, proj)
+    family = _family(LINE, "00")
+    (weights,) = _position_weights(family)
+    prob, residual = project(state, family.registers, weights)
     assert abs(prob - 0.25) < 1e-12
     # Residual (renormalized) carries a_i b_j on coins (a_in, a_out, b_in, b_out).
     a, b = payload_1q.alice, payload_1q.bob
@@ -84,10 +97,11 @@ def test_project_origin_block_probability_and_residual(payload_1q):
 
 def test_project_then_coins_reaches_swapped_product(payload_1q):
     state = run_walks(LINE, payload_1q)
-    (pos,) = position_projectors(_family(LINE, "00"))
-    prob1, residual = project(state, pos)
-    plusplus = next(c for c in coin_projectors(LINE) if c.name == "++")
-    prob2, final = project(residual, plusplus)
+    family = _family(LINE, "00")
+    (pos,) = _position_weights(family)
+    prob1, residual = project(state, family.registers, pos)
+    assert coin_outcome_name(LINE, 0) == "++"
+    prob2, final = project(residual, LINE.measured_coins, _coin_weights(LINE)[0])
     assert abs(prob1 * prob2 - 1.0 / 16.0) < 1e-12
     a, b = payload_1q.alice, payload_1q.bob
     expected = {
@@ -101,29 +115,16 @@ def test_projector_family_completeness(payload_1q):
     state = run_walks(LINE, payload_1q)
     total = 0.0
     for family in LINE.position_families:
-        for proj in position_projectors(family):
-            prob, _ = project(state, proj)
+        for weights in _position_weights(family):
+            prob, _ = project(state, family.registers, weights)
             total += prob
     assert abs(total - 1.0) < 1e-10
 
 
 def test_project_unknown_register(payload_1q):
     state = run_walks(LINE, payload_1q)
-    proj = ProjectorSpec("x", ("nope",), (((0,), 1.0),))
     with pytest.raises(UnknownRegister):
-        project(state, proj)
-
-
-def test_malformed_projector_rejected():
-    with pytest.raises(MalformedProjector):
-        ProjectorSpec("bad", ("a_pos", "b_pos"), (((0, 0), 0.5),))
-    with pytest.raises(MalformedProjector):
-        measure.check_orthogonal(
-            [
-                ProjectorSpec("p", ("a_pos",), (((0,), 1.0),)),
-                ProjectorSpec("q", ("a_pos",), (((0,), 1.0),)),
-            ]
-        )
+        project(state, ("nope",), {(0,): 1.0})
 
 
 def test_branch_probabilities_line(warm_tables, payload_1q):
@@ -180,6 +181,31 @@ def test_table_rows_are_a_frozen_copy(warm_tables):
     assert enumerate_branches(LINE, payloads[0], edited).fidelities.max() < 0.99
     with pytest.raises(TypeError):
         table.rows[("00", "++")] = ()
+
+
+def test_cached_arrays_are_read_only(warm_tables):
+    # Every caller shares these: a write into one would change every later
+    # call's result (doubling four branch-map entries took a line1q run
+    # from exit 0 to exit 1 with a probability sum of 1.1875).
+    single, twostep, cycle = (get_protocol(p) for p in ("single2q", "twostep2q", "cycle1q"))
+    maps = branch_maps(LINE)
+    _, walks = measure.walk_map(LINE)
+    step = oracle.cached_step_matrix(LINE, 0)
+    pairs, names, si, ti = equivalence.outcome_bijection(single, twostep)
+    assert isinstance(pairs, tuple) and isinstance(names, tuple)
+    src, sign = synthesized_table(LINE).signed_permutations(maps.keys, maps.layout)
+    arrays = [
+        *(getattr(m, f) for m in (walks, maps.matrix, step) for f in ("data", "indices", "indptr")),
+        si,
+        ti,
+        src,
+        sign,
+        equivalence.cycle_line_difference(LINE, cycle),
+    ]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] *= 2
+    assert all(array.flags.writeable is False for array in arrays)
 
 
 def test_missing_correction_raises(payload_1q):
@@ -518,13 +544,7 @@ def test_first_failing_key_is_named_when_later_keys_fail_too(warm_tables):
 
 
 def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
-    calls = {
-        "run_walks": 0,
-        "project": 0,
-        "branch_finals": 0,
-        "position_projectors": 0,
-        "coin_projectors": 0,
-    }
+    calls = {"run_walks": 0, "project": 0, "branch_finals": 0}
 
     def counted(name):
         original = getattr(measure, name)
@@ -544,7 +564,6 @@ def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
         measure.compile_branch_maps(spec)
         assert calls["run_walks"] - before == 4**spec.qubits
     assert (calls["project"], calls["branch_finals"]) == (0, 0)
-    assert (calls["position_projectors"], calls["coin_projectors"]) == (0, 0)
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)

@@ -70,7 +70,6 @@ def test_package_exports_are_pinned():
         "CorrectionTable",
         "PROTOCOL_IDS",
         "Payload",
-        "ProjectorSpec",
         "ProtocolSpec",
         "RegisterLayout",
         "SparseState",
@@ -78,7 +77,6 @@ def test_package_exports_are_pinned():
         "build_initial",
         "enumerate_branches",
         "get_protocol",
-        "project",
         "random_payload",
         "run_walks",
         "superpose",
