@@ -35,6 +35,7 @@ from .protocols import (
     DEFAULT_BOUND,
     PROTOCOL_IDS,
     Payload,
+    PositionFamily,
     get_protocol,
     run_walks,
     seeded_payloads,
@@ -329,8 +330,9 @@ def cmd_equiv(args) -> int:
     if args.claim == "two-qubit":
         payloads = seeded_payloads(seed, count, 2)
         if args.corrupt_table is not None:
-            if args.corrupt_table.startswith("Q"):
-                kwargs["twostep_table"] = protocol_table(args, get_protocol("twostep2q"))
+            twostep = get_protocol("twostep2q")
+            if args.corrupt_table in {f.name for f in twostep.position_families}:
+                kwargs["twostep_table"] = protocol_table(args, twostep)
             else:
                 kwargs["single_table"] = protocol_table(args, get_protocol("single2q"))
         core = equivalence.check_two_qubit_equivalence(payloads, **kwargs)
@@ -393,7 +395,7 @@ def cmd_tables(args) -> int:
     comparison = measure.compare_tables(spec, reference)
     family_tables = {}
     for name in selected:
-        keys = [k for k in sorted(synth.rows) if k[0] == name or k[0].startswith(name + ":")]
+        keys = [k for k in sorted(synth.rows) if PositionFamily.family_of(k[0]) == name]
         family_tables[name] = measure.CorrectionTable(
             spec.id, {k: synth.rows[k] for k in keys}
         ).to_json_dict()

@@ -46,6 +46,7 @@ from .errors import (
 from .hilbert import Label, RegisterLayout, SparseState, read_only
 from .protocols import (
     Payload,
+    PositionFamily,
     ProtocolSpec,
     bits_to_index,
     check_payload,
@@ -565,7 +566,7 @@ def corrupt_table(
     rows = dict(table.rows)
     hit = False
     for (pos, coin), ops in table.rows.items():
-        if pos == family or pos.startswith(family + ":"):
+        if PositionFamily.family_of(pos) == family:
             rows[(pos, coin)] = ops + ((targets[0], "Z"),)
             hit = True
     if not hit:

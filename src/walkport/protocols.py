@@ -13,7 +13,15 @@ a_out, b_in, b_out).
 
 One template, ``_walk_protocol``, builds all four specs.  They differ only
 in payload qubits, walkers per party (one per coin, or one moved by two
-coins), line or 4-cycle, and how the support is tiled into families.
+coins), line or 4-cycle, and the prefix of the family names.
+
+The families are derived.  Each walker moves once by its own party's input
+coins, then once by the other party's output coins, paired slice by slice;
+its position shows whether each pair's two coins agreed.  A family is every
+position tuple reached with one agreement pattern.  One-qubit families are
+named by each walker's distance from the origin, Alice first (``00``,
+``02``, ``20``, ``22``); two-qubit ones by the prefix and the pattern's
+index, Bob's pairs most significant (``P0``..``P15``, ``Q0``..``Q15``).
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -130,6 +137,10 @@ class PositionFamily:
     def outcome_name(self, r: int) -> str:
         return self.name if len(self.members) == 1 else f"{self.name}:{r}"
 
+    @staticmethod
+    def family_of(outcome: str) -> str:
+        return outcome.partition(":")[0]
+
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSpec:
@@ -160,78 +171,34 @@ class ProtocolSpec:
             raise InvalidDefinition("position families must not share a member or a name")
 
 
-def _pattern_values_pair(bit: int) -> tuple[int, ...]:
-    # Support values of one position register: stays at 0, or reaches +-2.
-    return (0,) if bit == 0 else (-2, 2)
-
-
-def _pattern_values_merged(bits: tuple[int, int]) -> tuple[int, ...]:
-    # Support values of a single position driven by two coin pairs, keyed
-    # by which of the paired +-2 / 0 patterns it merges (see Q families).
-    return {
-        (0, 0): (0,),
-        (0, 1): (-1, 1),
-        (1, 0): (-3, 3),
-        (1, 1): (-4, -2, 2, 4),
-    }[bits]
-
-
-def _line1q_families(regs: tuple[str, str]) -> tuple[PositionFamily, ...]:
+def _position_families(
+    regs: tuple[str, ...], jumps: dict[tuple[int, ...], int], prefix: str | None, cyclic: bool
+) -> tuple[PositionFamily, ...]:
+    """The plan by the module docstring's agreement rule; a position sums two ``jumps``."""
+    reach: dict[tuple[int, ...], set[int]] = {}
+    for ins, outs in itertools.product(jumps, repeat=2):
+        agree = tuple(int(i == o) for i, o in zip(ins, outs))
+        value = jumps[ins] + jumps[outs]
+        reach.setdefault(agree, set()).add(value % 4 if cyclic else value)
     families = []
-    for pattern in itertools.product((0, 1), repeat=2):
-        members = tuple(
-            sorted(itertools.product(*(_pattern_values_pair(b) for b in pattern)))
-        )
-        name = "".join("2" if b else "0" for b in pattern)
-        families.append(PositionFamily(name, regs, members))
-    return tuple(families)
-
-
-def _cycle1q_families(regs: tuple[str, str]) -> tuple[PositionFamily, ...]:
-    # On the 4-cycle the +-2 line positions merge into vertex 2, so every
-    # reachable position tuple is its own family.
-    families = []
-    for pattern in itertools.product((0, 1), repeat=2):
-        member = tuple(2 if b else 0 for b in pattern)
-        name = "".join(str(v) for v in member)
-        families.append(PositionFamily(name, regs, (member,)))
-    return tuple(families)
-
-
-def _single2q_families(regs: tuple[str, ...]) -> tuple[PositionFamily, ...]:
-    families = []
-    for k in range(16):
-        a_bits = ((k >> 1) & 1, k & 1)
-        b_bits = ((k >> 3) & 1, (k >> 2) & 1)
-        pattern = a_bits + b_bits
-        members = tuple(
-            sorted(itertools.product(*(_pattern_values_pair(b) for b in pattern)))
-        )
-        families.append(PositionFamily(f"P{k}", regs, members))
-    return tuple(families)
-
-
-def _twostep2q_families(regs: tuple[str, str]) -> tuple[PositionFamily, ...]:
-    families = []
-    for k in range(16):
-        a_bits = ((k >> 1) & 1, k & 1)
-        b_bits = ((k >> 3) & 1, (k >> 2) & 1)
-        members = tuple(
-            sorted(
-                itertools.product(
-                    _pattern_values_merged(a_bits), _pattern_values_merged(b_bits)
-                )
-            )
-        )
-        families.append(PositionFamily(f"Q{k}", regs, members))
-    return tuple(families)
+    for walkers in itertools.product(sorted(reach.items()), repeat=len(regs)):
+        pattern = sum((agree for agree, _ in walkers), ())
+        members = tuple(sorted(itertools.product(*(values for _, values in walkers))))
+        if prefix is None:
+            key, name = pattern, "".join(str(abs(v)) for v in members[0])
+        else:
+            half = len(pattern) // 2
+            key = pattern[half:] + pattern[:half]
+            name = f"{prefix}{bits_to_index(key)}"
+        families.append((key, PositionFamily(name, regs, members)))
+    return tuple(family for _, family in sorted(families))  # keys are distinct
 
 
 def _walk_protocol(
     pid: str,
     qubits: int,
     walkers_per_party: int,
-    families: Callable[[tuple[str, ...]], tuple[PositionFamily, ...]],
+    prefix: str | None,
     bound: int,
     cyclic: bool,
 ) -> ProtocolSpec:
@@ -280,7 +247,7 @@ def _walk_protocol(
         measured_positions=pos_names,
         measured_coins=ins["a"] + ins["b"],
         target_coins=outs["a"] + outs["b"],
-        position_families=families(pos_names),
+        position_families=_position_families(pos_names, rule(), prefix, cyclic),
         qubits=qubits,
     )
 
@@ -295,12 +262,12 @@ def get_protocol(protocol_id: str, bound: int = DEFAULT_BOUND) -> ProtocolSpec:
     return _protocol(protocol_id, bound)
 
 
-# Per protocol: qubits, walkers per party, measurement families, cyclic.
+# Per protocol: qubits, walkers per party, family name prefix, cyclic.
 _TEMPLATE_ARGS = {
-    "line1q": (1, 1, _line1q_families, False),
-    "cycle1q": (1, 1, _cycle1q_families, True),
-    "single2q": (2, 2, _single2q_families, False),
-    "twostep2q": (2, 1, _twostep2q_families, False),
+    "line1q": (1, 1, None, False),
+    "cycle1q": (1, 1, None, True),
+    "single2q": (2, 2, "P", False),
+    "twostep2q": (2, 1, "Q", False),
 }
 
 
@@ -308,8 +275,8 @@ _TEMPLATE_ARGS = {
 def _protocol(protocol_id: str, bound: int) -> ProtocolSpec:
     if protocol_id not in _TEMPLATE_ARGS:
         raise UnknownProtocol(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
-    qubits, walkers, families, cyclic = _TEMPLATE_ARGS[protocol_id]
-    return _walk_protocol(protocol_id, qubits, walkers, families, bound, cyclic)
+    qubits, walkers, prefix, cyclic = _TEMPLATE_ARGS[protocol_id]
+    return _walk_protocol(protocol_id, qubits, walkers, prefix, bound, cyclic)
 
 
 def check_payload(spec: ProtocolSpec, payload: Payload) -> None:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import errno
 import functools
+import hashlib
 import io
 import json
 import math
@@ -477,11 +478,59 @@ def test_equiv_and_oracle_check_read_the_env_seed(tmp_path, warm_tables, monkeyp
         ("run", "line1q", "--corrupt-table", "nosuch"),
         ("equiv", "two-qubit", "--count", "1", "--corrupt-table", "nosuch"),
         ("equiv", "cycle-line", "--count", "1", "--corrupt-table", "nosuch"),
+        # Outcome names are not family names.
+        ("run", "line1q", "--corrupt-table", "02:1"),
+        ("run", "single2q", "--corrupt-table", "P1:0"),
+        ("equiv", "two-qubit", "--count", "1", "--corrupt-table", "Q3:1"),
+        ("equiv", "two-qubit", "--count", "1", "--corrupt-table", "Q16"),
     ],
 )
 def test_unknown_corrupt_family_is_a_config_error(argv, warm_tables, capsys):
     assert run_cli(*argv) == 2
     assert_one_error_line(capsys)
+
+
+def test_equiv_corrupts_the_table_of_the_spec_with_that_family(tmp_path, warm_tables, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        cli.equivalence,
+        "check_two_qubit_equivalence",
+        lambda payloads, **tables: calls.append(tables) or {"ok": True},
+    )
+    out = str(tmp_path / "report.json")
+    for pid, key in (("single2q", "single_table"), ("twostep2q", "twostep_table")):
+        for family in protocols.get_protocol(pid).position_families:
+            argv = ("equiv", "two-qubit", "--count", "1", "--corrupt-table", family.name)
+            assert run_cli(*argv, "--out", out) == 0
+            (tables,) = calls
+            calls.clear()
+            assert list(tables) == [key] and tables[key].protocol == pid
+            clean = warm_tables[pid].rows
+            broken = {row[0] for row, ops in tables[key].rows.items() if ops != clean[row]}
+            assert {protocols.PositionFamily.family_of(pos) for pos in broken} == {family.name}
+
+
+# SHA-256 of each `tables` report written with --out.  These reports hold no
+# floats, so their bytes depend on neither BLAS nor the CPU: a change to the
+# measurement plan or to table synthesis shows here.
+TABLES_DIGESTS = {
+    ("line1q",): "dcc01aa3ed1053985012824c3f2b7c1e63c9e968c2b490cc66b49c0a1a8f6431",
+    ("cycle1q",): "d366d81988ab67a4a31254baa3a7da9f5904b4bb5b5bde84b32016777a97e3f1",
+    ("single2q",): "82c686a9645c5dab4ff9911a1e89aabaa6543cdafa6ef36eea255da69131f2c4",
+    ("twostep2q",): "318ec72ba0d39c422dbf0ea4c8208f354cf28e9402b4e12c3db33807ec7e719b",
+    ("single2q", "--families", "P1..P15"): (
+        "bcb48fa3924db6c86cb4b3f081f1253cc58cf9629a30b05cbe2b852138b04707"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "args", list(TABLES_DIGESTS), ids=lambda args: "-".join(args).replace("--", "")
+)
+def test_tables_reports_are_pinned_byte_for_byte(args, tmp_path, warm_tables):
+    out = tmp_path / "tables.json"
+    assert run_cli("tables", *args, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLES_DIGESTS[args]
 
 
 @pytest.mark.parametrize("families", ["", ","])
@@ -542,7 +591,7 @@ FUZZ_VALUES = {
     "--alice": valid_or_not(st.sampled_from(("1,0", "0.6:0,0:0.8")), ("1,1", "nan,0", "x", "1,0,0,0", "")),
     "--bob": valid_or_not(st.sampled_from(("0,1", "1.000000001,0", "0:1,0")), ("1e400,0", "", "0,0")),
     "--families": valid_or_not(st.sampled_from(("00", "02,20", "00..22")), ("22..00", "", ",", "P1", "..")),
-    "--corrupt-table": valid_or_not(st.sampled_from(("00", "02", "02:1", "20", "Q3", "P2")), ("nosuch", "")),
+    "--corrupt-table": valid_or_not(st.sampled_from(("00", "02", "20", "Q3", "P2")), ("nosuch", "", "02:1")),
     "--format": valid_or_not(st.sampled_from(("json", "table-text")), ("xml",)),
     "--out": valid_or_not(st.sampled_from(("file", "dir")), ("missing",)),
 }

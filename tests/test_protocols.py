@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
 import chains
 from states import is_normalized
+from walkport import measure
 from walkport.errors import NotNormalized, ShapeMismatch
 from walkport.hilbert import HADAMARD
 from walkport.protocols import (
@@ -215,19 +218,34 @@ def test_factorized_amplitude_dependence(pid, prefactor):
 def test_two_qubit_family_sizes():
     for pid, prefix in (("single2q", "P"), ("twostep2q", "Q")):
         spec = get_protocol(pid)
+        names = [f.name for f in spec.position_families]
+        assert names == [f"{prefix}{k}" for k in range(16)]
         by_name = {f.name: f for f in spec.position_families}
         assert by_name[f"{prefix}0"].members == ((0,) * len(spec.measured_positions),)
         sizes = tuple(len(by_name[f"{prefix}{k}"].members) for k in range(1, 16))
         assert sizes == EXPECTED_FAMILY_SIZES
+    single = {f.name: f.members for f in get_protocol("single2q").position_families}
+    assert single["P1"] == ((0, -2, 0, 0), (0, 2, 0, 0))
+    assert single["P4"] == ((0, 0, 0, -2), (0, 0, 0, 2))
+    twostep = {f.name: f.members for f in get_protocol("twostep2q").position_families}
+    assert twostep["Q1"] == ((-1, 0), (1, 0))
+    assert twostep["Q2"] == ((-3, 0), (3, 0))
+    assert twostep["Q3"] == ((-4, 0), (-2, 0), (2, 0), (4, 0))
+    assert twostep["Q4"] == ((0, -1), (0, 1))
 
 
 def test_line_families():
+    for pid in ("line1q", "cycle1q"):
+        names = [f.name for f in get_protocol(pid).position_families]
+        assert names == ["00", "02", "20", "22"]
     spec = get_protocol("line1q")
     by_name = {f.name: f.members for f in spec.position_families}
     assert by_name["00"] == ((0, 0),)
     assert by_name["02"] == ((0, -2), (0, 2))
     assert by_name["20"] == ((-2, 0), (2, 0))
     assert by_name["22"] == ((-2, -2), (-2, 2), (2, -2), (2, 2))
+    cycle = [f.members for f in get_protocol("cycle1q").position_families]
+    assert cycle == [((0, 0),), ((0, 2),), ((2, 0),), ((2, 2),)]
 
 
 def test_families_tile_reachable_support():
@@ -239,7 +257,35 @@ def test_families_tile_reachable_support():
         state = run_walks(spec, payload)
         pos_idx = [spec.layout.index(n) for n in spec.measured_positions]
         support = {tuple(label[i] for i in pos_idx) for label in state.amps}
-        assert support <= set(members)
+        assert support == set(members)
+
+
+def agreement_pattern(spec, label):
+    """For each measured walker and each pair of the coins that move it (its
+    party's input coin, then the other party's output coin): are they equal?"""
+    pattern = []
+    for walker in spec.measured_positions:
+        first, second = (s for step in spec.steps for s in step.shifts if s.position == walker)
+        pattern += [
+            label[spec.layout.index(i)] == label[spec.layout.index(o)]
+            for i, o in zip(first.coins, second.coins)
+        ]
+    return tuple(pattern)
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_derived_plan_matches_the_simulated_walk(pid):
+    spec = get_protocol(pid)
+    labels, _ = measure.walk_map(spec)
+    pos_idx = [spec.layout.index(n) for n in spec.measured_positions]
+    family_by_member = {m: f.name for f in spec.position_families for m in f.members}
+    assert {tuple(label[i] for i in pos_idx) for label in labels} == set(family_by_member)
+    patterns = collections.defaultdict(set)
+    for label in labels:
+        family = family_by_member[tuple(label[i] for i in pos_idx)]
+        patterns[family].add(agreement_pattern(spec, label))
+    assert all(len(seen) == 1 for seen in patterns.values())
+    assert len({seen.pop() for seen in patterns.values()}) == len(spec.position_families)
 
 
 def test_unknown_protocol():
