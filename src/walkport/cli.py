@@ -278,17 +278,18 @@ def cmd_run(args) -> int:
     float_text = FloatTexts().__getitem__
     # Thousands of branches share a few tens of probabilities.
     dyadics: dict[float, str] = {}
+    keys = measure.branch_maps(spec).keys
     payload_reports, blocks = [], []
     ok = True
-    for index, payload in enumerate(payloads):
-        branches = measure.enumerate_branches(spec, payload, table)
-        probs = branches.probabilities.tolist()
-        fids = branches.fidelities.tolist()
-        vacs = branches.vacuous.tolist()
+    scored = measure.scored_payloads(spec, payloads, table)
+    for index, (probabilities, fidelities, vacuous, _) in enumerate(scored):
+        probs = probabilities.tolist()
+        fids = fidelities.tolist()
+        vacs = vacuous.tolist()
         for p in set(probs) - dyadics.keys():
             dyadics[p] = json.dumps(dyadic(p))
         prob_sum = sum(probs)
-        fid_ok = bool((branches.vacuous | (branches.fidelities >= 1.0 - tol)).all())
+        fid_ok = bool((vacuous | (fidelities >= 1.0 - tol)).all())
         sum_ok = abs(prob_sum - 1.0) <= tol
         ok = ok and fid_ok and sum_ok
         slots = [""] * (4 * len(probs))  # in branch_template's order
@@ -296,7 +297,7 @@ def cmd_run(args) -> int:
         slots[1::4] = map(float_text, probs)
         slots[2::4] = map(dyadics.__getitem__, probs)
         slots[3::4] = map(BOOL_TEXT.__getitem__, vacs)
-        blocks.append(branch_template(branches.keys, depth) % tuple(slots))
+        blocks.append(branch_template(keys, depth) % tuple(slots))
         payload_reports.append(
             {
                 "payload": index,

@@ -21,15 +21,18 @@ import numpy as np
 
 from .errors import MappingIncomplete
 from .hilbert import SparseState, read_only
-from .measure import (
+# enumerate_branches stays bound here for the benchmark tracer's rebinding test.
+from .measure import (  # noqa: F401
     branch_maps,
     enumerate_branches,
+    kron_rows,
     pauli_masks,
     project,
+    scored_payloads,
     synthesized_table,
     walk_map,
 )
-from .protocols import Payload, ProtocolSpec, check_payload, get_protocol, run_walks
+from .protocols import Payload, ProtocolSpec, get_protocol, run_walks, stack_payloads
 
 EQUIV_TOL = 1e-10
 
@@ -154,12 +157,13 @@ def check_two_qubit_equivalence(
     max_dp = 0.0
     max_ds = 0.0
     branch_mismatches = []
-    for index, payload in enumerate(payloads):
-        bs = enumerate_branches(single, payload, table_s)
-        bt = enumerate_branches(twostep, payload, table_t)
-        dp = np.abs(bs.probabilities[si] - bt.probabilities[ti])
-        ds = phase_aligned_delta(bs.vectors[si], bt.vectors[ti])
-        ds[bs.vacuous[si] & bt.vacuous[ti]] = 0.0
+    scored = zip(
+        scored_payloads(single, payloads, table_s), scored_payloads(twostep, payloads, table_t)
+    )
+    for index, ((ps, _, vs, xs), (pt, _, vt, xt)) in enumerate(scored):
+        dp = np.abs(ps[si] - pt[ti])
+        ds = phase_aligned_delta(xs[si], xt[ti])
+        ds[vs[si] & vt[ti]] = 0.0
         max_dp = float(dp.max(initial=max_dp))
         max_ds = float(ds.max(initial=max_ds))
         for k in np.flatnonzero((dp > tol) | (ds > tol)).tolist():
@@ -243,12 +247,8 @@ def check_cycle_line_equivalence(payloads: list[Payload], cycle_table=None) -> d
     spot_checks = [
         _origin_residual_spot_check(cyc, run_walks(cyc, p), p) for p in payloads[:1]
     ]
-    for payload in payloads:
-        check_payload(cyc, payload)
-    difference = cycle_line_difference(line, cyc)
-    inputs = np.array([np.kron(p.alice, p.bob) for p in payloads], dtype=complex)
-    inputs = inputs.reshape(-1, difference.shape[1])  # (0, 4) when there are no payloads
-    deltas = np.abs(inputs @ difference.T).max(axis=1, initial=0.0)
+    inputs = kron_rows(*stack_payloads(cyc, payloads))
+    deltas = np.abs(inputs @ cycle_line_difference(line, cyc).T).max(axis=1, initial=0.0)
     state_mismatches = [
         {"payload": index, "state_delta": delta}
         for index, delta in enumerate(deltas.tolist())

@@ -11,7 +11,8 @@ Every step from the payloads to a branch residual is linear, so each
 branch compiles, once, to a small matrix of ``alice ⊗ bob``.  The sparse
 engine walks the basis payloads once per spec (``walk_map``), and one
 sparse product of the measurement weights with that map gives every branch
-(``compile_branch_maps``).  Verifying a payload is one sparse mat-vec.
+(``compile_branch_maps``).  A call's payloads are verified as one stack,
+one sparse mat-mat per bounded chunk (``score_branches``).
 ``project`` and ``branch_finals`` measure one state branch by branch,
 weighing each outcome by the same ``walsh`` row; they remain as the
 reference the compiled maps are tested against.  Correction
@@ -49,8 +50,8 @@ from .protocols import (
     PositionFamily,
     ProtocolSpec,
     bits_to_index,
-    check_payload,
     run_walks,
+    stack_payloads,
 )
 
 VACUOUS_TOL = 1e-14
@@ -366,7 +367,12 @@ def walk_map(spec: ProtocolSpec) -> tuple[tuple[Label, ...], sparse.csr_matrix]:
     basis = np.eye(d)
     walks = [run_walks(spec, Payload(basis[i], basis[j])) for i in range(d) for j in range(d)]
     labels = tuple(sorted(set().union(*(w.amps for w in walks))))
-    matrix = sparse.csr_matrix([[w.amplitude(label) for w in walks] for label in labels])
+    row = {label: k for k, label in enumerate(labels)}
+    rows, cols, data = zip(
+        *((row[label], col, amp) for col, w in enumerate(walks) for label, amp in w.amps.items())
+    )
+    matrix = sparse.csr_matrix((np.array(data, dtype=complex), (rows, cols)), (len(labels), d * d))
+    matrix.sort_indices()
     read_only(matrix.data, matrix.indices, matrix.indptr)
     return labels, matrix
 
@@ -425,31 +431,67 @@ def branch_maps(spec: ProtocolSpec) -> BranchMaps:
     return maps
 
 
+def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row ``k`` is ``np.kron(a[k], b[k])``, bit for bit."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+# Entries of one (payloads, branches, dim) chunk of scored vectors.
+SCORE_ENTRIES = 1 << 16
+
+
+def score_branches(
+    spec: ProtocolSpec, alice: np.ndarray, bob: np.ndarray, table: CorrectionTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every branch of ``n`` stacked payloads, corrected and scored.
+
+    ``alice`` and ``bob`` are ``(n, d)``.  Returns the ``(n, B)``
+    probabilities, fidelities and vacuous flags and the ``(n, B, dim)``
+    vectors, indexed like ``branch_maps(spec).keys`` (see Branches).  One
+    product of the compiled maps with the stacked ``alice ⊗ bob`` gives every
+    residual; the table's rows then apply as signed permutations.
+    """
+    maps = branch_maps(spec)
+    src, sign = table.signed_permutations(maps.keys, maps.layout)
+    # One sparse mat-mat for the whole stack, copied back into payload-major rows.
+    residuals = (maps.matrix @ kron_rows(alice, bob).T).T.copy().reshape(len(alice), *src.shape)
+    probs = np.einsum("nbi,nbi->nb", residuals.conj(), residuals).real
+    vacuous = probs < VACUOUS_TOL
+    scale = np.zeros_like(probs)
+    np.divide(1.0, np.sqrt(probs), out=scale, where=probs > RENORM_TOL_SQ)
+    corrected = sign * np.take_along_axis(residuals, src[None], axis=2)
+    vectors = np.where(vacuous[..., None], residuals, corrected) * scale[..., None]
+    overlaps = (vectors @ kron_rows(bob, alice).conj()[..., None])[..., 0]
+    fidelities = np.where(vacuous, 0.0, np.abs(overlaps) ** 2)
+    return probs, fidelities, vacuous, vectors
+
+
+def scored_payloads(
+    spec: ProtocolSpec, payloads: Sequence[Payload], table: CorrectionTable
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Each payload's row of ``score_branches``: probabilities, fidelities, vacuous flags, vectors.
+
+    The payloads are scored in chunks of at most ``SCORE_ENTRIES`` vector
+    entries, so memory stays bounded for any count.
+    """
+    alice, bob = stack_payloads(spec, payloads)
+    rows = max(1, SCORE_ENTRIES // branch_maps(spec).matrix.shape[0])
+    for start in range(0, len(payloads), rows):
+        chunk = slice(start, start + rows)
+        yield from zip(*score_branches(spec, alice[chunk], bob[chunk], table))
+
+
 def enumerate_branches(
     spec: ProtocolSpec,
     payload: Payload,
     table: CorrectionTable | None = None,
 ) -> Branches:
-    """Every (position outcome, coin outcome) branch, corrected and scored.
-
-    One product of the compiled maps with ``alice ⊗ bob`` gives every
-    branch's residual; the table's rows then apply as signed permutations.
-    """
-    check_payload(spec, payload)
+    """Every (position outcome, coin outcome) branch of one payload, corrected and scored."""
     if table is None:
         table = synthesized_table(spec)
     maps = branch_maps(spec)
-    src, sign = table.signed_permutations(maps.keys, maps.layout)
-    residuals = (maps.matrix @ np.kron(payload.alice, payload.bob)).reshape(src.shape)
-    probs = np.einsum("bi,bi->b", residuals.conj(), residuals).real
-    vacuous = probs < VACUOUS_TOL
-    scale = np.zeros_like(probs)
-    np.divide(1.0, np.sqrt(probs), out=scale, where=probs > RENORM_TOL_SQ)
-    corrected = sign * np.take_along_axis(residuals, src, axis=1)
-    vectors = np.where(vacuous[:, None], residuals, corrected) * scale[:, None]
-    overlaps = vectors @ np.kron(payload.bob, payload.alice).conj()
-    fidelities = np.where(vacuous, 0.0, np.abs(overlaps) ** 2)
-    return Branches(maps.keys, probs, fidelities, vacuous, vectors, maps.layout)
+    (columns,) = scored_payloads(spec, [payload], table)
+    return Branches(maps.keys, *columns, maps.layout)
 
 
 def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:

@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -93,20 +94,31 @@ class Payload:
         return 1 if len(self.alice) == 2 else 2
 
 
+def draw_payloads(rng: np.random.Generator, count: int, qubits: int) -> list[Payload]:
+    """``count`` normalized complex-Gaussian payload pairs (uniform on the sphere).
+
+    One draw of shape (payload, party, real/imaginary, component), the order
+    in which one vector at a time would draw them.  Each vector is divided
+    by ``sqrt(re·re + im·im)``, the dot products taken on the complex array's
+    strided views as ``np.linalg.norm`` takes them; a zero vector becomes
+    NaNs, which ``Payload`` rejects as not normalized.
+    """
+    draw = rng.standard_normal((count, 2, 2, 2**qubits))
+    vectors = draw[:, :, 0] + 1j * draw[:, :, 1]
+    re, im = vectors.real[..., None, :], vectors.imag[..., None, :]
+    norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vectors = vectors / norms[..., 0]
+    return [Payload(alice, bob) for alice, bob in vectors]
+
+
 def random_payload(rng: np.random.Generator, qubits: int) -> Payload:
-    """Normalized complex-Gaussian payload pair (uniform on the sphere)."""
-    dim = 2**qubits
-
-    def draw() -> np.ndarray:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return v / np.linalg.norm(v)
-
-    return Payload(draw(), draw())
+    """One payload pair: row 0 of ``draw_payloads``."""
+    return draw_payloads(rng, 1, qubits)[0]
 
 
 def seeded_payloads(seed: int, count: int, qubits: int) -> list[Payload]:
-    rng = np.random.default_rng(seed)
-    return [random_payload(rng, qubits) for _ in range(count)]
+    return draw_payloads(np.random.default_rng(seed), count, qubits)
 
 
 @dataclass(frozen=True)
@@ -286,6 +298,19 @@ def check_payload(spec: ProtocolSpec, payload: Payload) -> None:
             f"{spec.id} needs {2**spec.qubits}-component payloads, "
             f"got {len(payload.alice)}"
         )
+
+
+def stack_payloads(
+    spec: ProtocolSpec, payloads: Sequence[Payload]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The payloads' Alice and Bob vectors as two ``(n, d)`` arrays, each payload checked."""
+    for payload in payloads:
+        check_payload(spec, payload)
+    shape = (len(payloads), 2**spec.qubits)  # (0, d) when there are no payloads
+    return tuple(
+        np.array([getattr(p, name) for p in payloads], dtype=complex).reshape(shape)
+        for name in ("alice", "bob")
+    )
 
 
 def build_initial(spec: ProtocolSpec, payload: Payload) -> SparseState:

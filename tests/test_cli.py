@@ -1,7 +1,6 @@
 import argparse
 import collections
 import contextlib
-import dataclasses
 import errno
 import functools
 import hashlib
@@ -793,20 +792,43 @@ def test_run_report_matches_reference_on_odd_branch_columns(tmp_path, warm_table
     # Valid payloads give every branch a dyadic probability and no vacuous
     # row, so the columns are bent here: vacuous rows, probabilities with no
     # dyadic, signed zeros and a NaN fidelity.
-    enumerate_branches = measure.enumerate_branches
+    score_branches = measure.score_branches
 
-    def bent(spec, payload, table):
-        branches = enumerate_branches(spec, payload, table)
-        columns = (branches.probabilities, branches.fidelities, branches.vacuous)
-        probs, fids, vacs = (column.copy() for column in columns)
-        probs[:4] = [1 / 3, 0.0, -0.0, 1e-300]
-        fids[:5] = [0.0, -0.0, math.nan, 0.5, 1 - 1e-12]
-        vacs[:3] = True
-        return dataclasses.replace(branches, probabilities=probs, fidelities=fids, vacuous=vacs)
+    def bent(spec, alice, bob, table):
+        columns = score_branches(spec, alice, bob, table)
+        probs, fids, vacs = (column.copy() for column in columns[:3])
+        probs[:, :4] = [1 / 3, 0.0, -0.0, 1e-300]
+        fids[:, :5] = [0.0, -0.0, math.nan, 0.5, 1 - 1e-12]
+        vacs[:, :3] = True
+        return probs, fids, vacs, columns[3]
 
-    monkeypatch.setattr(measure, "enumerate_branches", bent)
+    monkeypatch.setattr(measure, "score_branches", bent)
     for argv in (["run", "line1q", "--count", "2"], ["run", "cycle1q", "--format", "table-text"]):
         assert_run_matches_reference(argv, tmp_path / "report.json")
+
+
+def test_run_report_over_several_chunks_matches_reference(tmp_path, warm_tables):
+    # Three two-qubit payloads fill a chunk; the reference scores one at a time.
+    assert measure.SCORE_ENTRIES // (1296 * 16) == 3
+    assert_run_matches_reference(["run", "single2q", "--count", "7"], tmp_path / "report.json")
+
+
+@pytest.mark.parametrize(
+    "argv", [["equiv", "two-qubit", "--count", "200"], ["run", "single2q", "--count", "20"]]
+)
+def test_scoring_memory_is_bounded_by_chunks(argv, tmp_path, warm_tables, monkeypatch):
+    entries = []
+    score_branches = measure.score_branches
+
+    def spy(spec, alice, bob, table):
+        columns = score_branches(spec, alice, bob, table)
+        entries.append(columns[3].size)
+        return columns
+
+    monkeypatch.setattr(measure, "score_branches", spy)
+    assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert 0 < max(entries) <= measure.SCORE_ENTRIES
+    assert sum(entries) == int(argv[-1]) * 1296 * 16 * (2 if argv[0] == "equiv" else 1)
 
 
 def test_branch_template_is_built_once_per_process(tmp_path, warm_tables):

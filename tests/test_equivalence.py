@@ -320,26 +320,35 @@ def test_columnar_two_qubit_check_equals_rowwise_reference(warm_tables, family):
     assert len(tight["branch_mismatches"]) == 2 * 1296
 
 
+def test_two_qubit_check_over_several_chunks_equals_rowwise_reference(warm_tables):
+    # Seven payloads score in chunks of 3, 3 and 1; mismatches stay payload-major.
+    single = get_protocol("single2q")
+    broken = measure.corrupt_table(measure.synthesized_table(single), "P6", single.target_coins)
+    payloads = seeded_payloads(25, 7, 2)
+    report = equivalence.check_two_qubit_equivalence(payloads, tol=-1.0, single_table=broken)
+    assert report == rowwise_two_qubit_equivalence(payloads, tol=-1.0, single_table=broken)
+    assert [m["payload"] for m in report["branch_mismatches"]] == sorted(
+        m["payload"] for m in report["branch_mismatches"]
+    )
+
+
 def test_columnar_two_qubit_check_zeroes_pairs_that_are_both_vacuous(warm_tables, monkeypatch):
     # No two-qubit branch is vacuous (each map is a nonzero multiple of a
     # unitary), so mark rows vacuous, a different set and scramble per
     # protocol, and scramble their vectors.
-    enumerate_branches = measure.enumerate_branches
+    score_branches = measure.score_branches
 
-    def with_vacuous_rows(spec, payload, table):
-        branches = enumerate_branches(spec, payload, table)
+    def with_vacuous_rows(spec, alice, bob, table):
+        probabilities, fidelities, _, vectors = score_branches(spec, alice, bob, table)
         step, shift = (5, 1) if spec.id == "single2q" else (3, 2)
-        dead = np.arange(len(branches)) % step == 0
-        vectors = branches.vectors.copy()
-        vectors[dead] = np.roll(vectors[dead], shift, axis=1)
-        probabilities = branches.probabilities.copy()
-        probabilities[dead] *= shift + abs(payload.alice[0])
-        return dataclasses.replace(
-            branches, probabilities=probabilities, vacuous=dead, vectors=vectors
-        )
+        dead = np.arange(probabilities.shape[1]) % step == 0
+        vectors = vectors.copy()
+        vectors[:, dead] = np.roll(vectors[:, dead], shift, axis=2)
+        probabilities = probabilities.copy()
+        probabilities[:, dead] *= shift + abs(alice[:, :1])
+        return probabilities, fidelities, np.broadcast_to(dead, probabilities.shape), vectors
 
-    monkeypatch.setattr(measure, "enumerate_branches", with_vacuous_rows)
-    monkeypatch.setattr(equivalence, "enumerate_branches", with_vacuous_rows)
+    monkeypatch.setattr(measure, "score_branches", with_vacuous_rows)
 
     def check(payloads):
         return equivalence.check_two_qubit_equivalence(payloads, tol=-1.0)

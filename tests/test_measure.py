@@ -373,6 +373,41 @@ def test_branch_rows_equal_the_columns(warm_tables):
     assert int(enumerate_branches(spec, basis, table).vacuous.sum()) == 4
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_chunked_batch_equals_one_row_batches_bit_for_bit(warm_tables, monkeypatch, pid, corrupt):
+    spec = get_protocol(pid)
+    table = synthesized_table(spec)
+    if corrupt:
+        table = corrupt_table(table, spec.position_families[1].name, spec.target_coins)
+    maps = branch_maps(spec)
+    per_chunk = max(1, measure.SCORE_ENTRIES // maps.matrix.shape[0])
+    # Three chunks of two-qubit payloads, two of one-qubit ones.
+    count = 3 * per_chunk - 2 if spec.qubits == 2 else per_chunk + 3
+    payloads = seeded_payloads(83, count, spec.qubits)
+    chunks = []
+    score_branches = measure.score_branches
+
+    def spy(spec, alice, bob, table):
+        chunks.append(len(alice))
+        return score_branches(spec, alice, bob, table)
+
+    monkeypatch.setattr(measure, "score_branches", spy)
+    rows = list(measure.scored_payloads(spec, payloads, table))
+    assert chunks == [per_chunk] * (len(chunks) - 1) + [count - per_chunk * (len(chunks) - 1)]
+    assert len(chunks) == (3 if spec.qubits == 2 else 2) and len(rows) == count
+    for payload, row in zip(payloads, rows):
+        one = [c[0] for c in score_branches(spec, payload.alice[None], payload.bob[None], table)]
+        assert all(column.shape == (len(maps.keys),) for column in row[:3])
+        assert row[3].shape == (len(maps.keys), maps.dim)
+        assert np.array_equal(row[2], one[2])  # vacuous flags
+        for batched, single in zip(row[:2] + row[3:], one[:2] + one[3:]):
+            # Compared by their bits, so signed zeros and NaNs count too.
+            assert np.array_equal(batched.view(np.int64), single.view(np.int64))
+    if corrupt:
+        assert min(row[1].min() for row in rows) < 0.99
+
+
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
 def test_signed_permutations_equal_the_engine_pauli_matrices(warm_tables, pid):
     # Every row of the synthesized and the bundled table, as a signed

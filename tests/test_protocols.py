@@ -115,6 +115,52 @@ def test_random_payloads_are_unit_norm_and_seeded():
         assert abs(np.linalg.norm(x.alice) - 1.0) < 1e-12
 
 
+def looped_payloads(seed, count, qubits):
+    """The reference draw: one vector at a time, real parts then imaginary parts."""
+    rng = np.random.default_rng(seed)
+    dim = 2**qubits
+
+    def draw():
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_seeded_payloads_equal_the_per_vector_draw_bit_for_bit(qubits):
+    for seed in range(200):
+        for count in (1, 2, 25):
+            drawn = seeded_payloads(seed, count, qubits)
+            reference = looped_payloads(seed, count, qubits)
+            assert len(drawn) == len(reference) == count
+            for payload, (alice, bob) in zip(drawn, reference):
+                assert np.array_equal(payload.alice.view(float), alice.view(float))
+                assert np.array_equal(payload.bob.view(float), bob.view(float))
+        assert np.array_equal(
+            random_payload(np.random.default_rng(seed), qubits).bob, reference[0][1]
+        )
+
+
+def test_a_drawn_zero_vector_is_not_normalized(monkeypatch):
+    # The vectorised division must leave the norm check to Payload.
+    default_rng = np.random.default_rng
+
+    class ZeroBobRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            draw = self.rng.standard_normal(shape)
+            draw[1:2, 1] = 0.0  # payload 1, if drawn: Bob, real and imaginary parts
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroBobRng)
+    assert len(seeded_payloads(3, 1, 2)) == 1
+    with pytest.raises(NotNormalized, match="bob"):
+        seeded_payloads(3, 2, 2)
+
+
 def test_build_initial_line_basis_payload():
     spec = get_protocol("line1q")
     state = build_initial(spec, Payload(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
