@@ -270,11 +270,17 @@ def check_unitary(gate: np.ndarray, tol: float = GATE_TOL) -> None:
         raise NotUnitary(f"matrix fails unitarity by {defect:.3e}")
 
 
+def coin_index(layout: RegisterLayout, register: str) -> int:
+    """The layout index of a coin register; WrongRegisterKind for any other register."""
+    idx = layout.index(register)
+    if layout.registers[idx].kind != COIN:
+        raise WrongRegisterKind(f"register {register!r} is not a coin")
+    return idx
+
+
 def apply_coin_gate(state: SparseState, register: str, gate: np.ndarray) -> SparseState:
     """Apply a 2x2 unitary to one coin register."""
-    idx = state.layout.index(register)
-    if state.layout.registers[idx].kind != COIN:
-        raise WrongRegisterKind(f"register {register!r} is not a coin")
+    idx = coin_index(state.layout, register)
     check_unitary(gate)
     gate = np.asarray(gate, dtype=complex)
     amps: dict[Label, complex] = {}

@@ -46,8 +46,9 @@ from .hilbert import (
 )
 from .walkops import (
     ConditionedShift,
+    WalkProgram,
     WalkStep,
-    apply_walk_step,
+    compile_walk,
     single_coin_shift_rule,
     two_coin_shift_rule,
 )
@@ -313,27 +314,38 @@ def stack_payloads(
     )
 
 
-def build_initial(spec: ProtocolSpec, payload: Payload) -> SparseState:
-    """Product state: walkers at the origin, payloads on the *_in coins."""
-    check_payload(spec, payload)
+def initial_blocks(
+    spec: ProtocolSpec,
+) -> list[tuple[list[tuple[int, ...]], str | tuple[float, ...]]]:
+    """The initial product state's factors in layout order: each block's parts and weights.
+
+    A payload block's weights are ``"alice"`` or ``"bob"``: that vector, in part order.
+    """
     plus = 1.0 / math.sqrt(2.0)
-    blocks: list[tuple[list[tuple[int, ...]], list[complex]]] = []
+    blocks: list[tuple[list[tuple[int, ...]], str | tuple[float, ...]]] = []
     consumed: set[str] = set()
     for reg in spec.layout:
         if reg.name in consumed:
             continue
         if reg.name in (spec.alice_coins[0], spec.bob_coins[0]):
-            names = spec.alice_coins if reg.name == spec.alice_coins[0] else spec.bob_coins
-            vec = payload.alice if reg.name == spec.alice_coins[0] else payload.bob
-            parts = list(itertools.product((0, 1), repeat=len(names)))
-            blocks.append((parts, [vec[bits_to_index(p)] for p in parts]))
+            party = "alice" if reg.name == spec.alice_coins[0] else "bob"
+            names = spec.alice_coins if party == "alice" else spec.bob_coins
+            blocks.append((list(itertools.product((0, 1), repeat=len(names))), party))
             consumed.update(names)
         elif reg.name in spec.plus_coins:
-            blocks.append(([(0,), (1,)], [plus, plus]))
+            blocks.append(([(0,), (1,)], (plus, plus)))
         else:
-            blocks.append(([(0,)], [1.0]))
+            blocks.append(([(0,)], (1.0,)))
+    return blocks
+
+
+def build_initial(spec: ProtocolSpec, payload: Payload) -> SparseState:
+    """Product state: walkers at the origin, payloads on the *_in coins."""
+    check_payload(spec, payload)
     terms: list[tuple[tuple[int, ...], complex]] = [((), 1.0 + 0.0j)]
-    for parts, weights in blocks:
+    for parts, weights in initial_blocks(spec):
+        if isinstance(weights, str):
+            weights = getattr(payload, weights)
         terms = [
             (label + part, amp * w)
             for label, amp in terms
@@ -343,14 +355,21 @@ def build_initial(spec: ProtocolSpec, payload: Payload) -> SparseState:
     return SparseState(spec.layout, dict(terms))
 
 
+@functools.cache
+def walk_program(spec: ProtocolSpec) -> WalkProgram:
+    """The spec's walk compiled once per spec object; its arrays are read-only."""
+    return compile_walk(spec.layout, initial_blocks(spec), spec.steps)
+
+
 def walk_states(spec: ProtocolSpec, payload: Payload) -> list[SparseState]:
     """The initial state followed by the state after each of the four steps."""
-    states = [build_initial(spec, payload)]
-    for step in spec.steps:
-        states.append(apply_walk_step(states[-1], step))
-    return states
+    program = walk_program(spec)
+    stages = program.run(*stack_payloads(spec, [payload]))
+    return [program.state(k, re[0], im[0]) for k, (re, im) in enumerate(stages)]
 
 
 def run_walks(spec: ProtocolSpec, payload: Payload) -> SparseState:
     """Pre-measurement state after all four walk steps."""
-    return walk_states(spec, payload)[-1]
+    program = walk_program(spec)
+    re, im = program.run(*stack_payloads(spec, [payload]))[-1]
+    return program.state(-1, re[0], im[0])

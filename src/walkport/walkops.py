@@ -5,18 +5,36 @@ register by a signed step size.  A walk step is an optional list of coin
 gates followed by one or more conditioned shifts applied jointly; shifts
 inside a step act on distinct position registers, so their order is
 immaterial.
+
+``compile_walk`` turns an initial product state and the steps into a
+``WalkProgram``, which the verbs run.  The step functions on sparse states
+(``apply_coin_gate``, ``apply_conditioned_shift``, ``apply_walk_step``) are
+the reference that the tests require it to equal bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidDefinition, OutOfBounds, WrongRegisterKind
-from .hilbert import COIN, CYCLE, LATTICE, Label, Register, SparseState, apply_coin_gate
+from .hilbert import (
+    COIN,
+    CYCLE,
+    LATTICE,
+    PRUNE_TOL,
+    Label,
+    Register,
+    RegisterLayout,
+    SparseState,
+    apply_coin_gate,
+    check_unitary,
+    coin_index,
+    read_only,
+)
 
 STEP_SIZES = (-2, -1, 1, 2)
 
@@ -65,12 +83,18 @@ class ConditionedShift:
                 raise InvalidDefinition(f"unsupported step size {step}")
 
 
+def position_index(layout: RegisterLayout, register: str) -> int:
+    """The layout index of a position register; WrongRegisterKind for a coin."""
+    pos = layout.index(register)
+    if layout.registers[pos].kind == COIN:
+        raise WrongRegisterKind(f"register {register!r} is not a position register")
+    return pos
+
+
 def apply_conditioned_shift(state: SparseState, cs: ConditionedShift) -> SparseState:
     layout = state.layout
-    pos = layout.index(cs.position)
+    pos = position_index(layout, cs.position)
     reg = layout.registers[pos]
-    if reg.kind == COIN:
-        raise WrongRegisterKind(f"register {cs.position!r} is not a position register")
     coin_idx = layout.subset(cs.coins)
     amps: dict[Label, complex] = {}
     for label, amp in state.amps.items():
@@ -100,3 +124,173 @@ def apply_walk_step(state: SparseState, step: WalkStep) -> SparseState:
     for cs in step.shifts:
         state = apply_conditioned_shift(state, cs)
     return state
+
+
+# ---------------------------------------------------------------------------
+# The compiled walk program
+
+
+@dataclass(frozen=True, eq=False)
+class GateOp:
+    """One coin gate: output ``o`` is ``(0.0 + p0) + p1``, ``pk = g[k, o] · amp[src[k, o]]``.
+
+    ``gr`` and ``gi`` hold the real and imaginary parts of ``g``.  An output
+    reached from one source repeats it with a zero entry, which adds a signed
+    zero and so changes no bit.
+    """
+
+    src: np.ndarray
+    gr: np.ndarray
+    gi: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftOp:
+    """One conditioned shift: a relabelling, so no amplitude moves.
+
+    ``exits`` are the indices the shift would move off the lattice, each with
+    its ``OutOfBounds`` message; ``keep`` indexes the rest, None when none exit.
+    Labels keep the dict engine's insertion order for a state with every term
+    present.  A missing term moves another only where a gate output has two
+    sources; each gate of the four protocols acts on a coin that is 0 in every
+    term, so the first exiting term is the one the dict engine names.
+    """
+
+    exits: np.ndarray
+    messages: tuple[str, ...]
+    keep: np.ndarray | None
+
+
+@dataclass(frozen=True, eq=False)
+class WalkProgram:
+    """A walk compiled once and run on stacked payloads, bit for bit the dict engine.
+
+    ``blocks`` are the initial state's factors in layout order, one
+    ``(source, column)`` each: ``column`` indexes payload ``source``
+    (``"alice"`` or ``"bob"``) per initial label, or holds the constant factor
+    per label when ``source`` is None.  ``labels[k]`` are the labels after the
+    initial state (k = 0) and after step k, whose ops are ``steps[k - 1]``.
+
+    Amplitudes are separate real and imaginary arrays.  Every complex product
+    is written out with float ufuncs, because numpy's vector complex multiply
+    differs in the last bit from the scalar products the dict engine takes,
+    and terms are pruned where ``np.hypot`` (equal to Python's ``abs``) is below
+    ``PRUNE_TOL``.  A pruned term and an exact zero then add the same, so the
+    dict order of the sums does not matter.
+    """
+
+    layout: RegisterLayout
+    blocks: tuple[tuple[str | None, np.ndarray], ...]
+    steps: tuple[tuple[GateOp | ShiftOp, ...], ...]
+    labels: tuple[tuple[Label, ...], ...]
+
+    def run(self, alice: np.ndarray, bob: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ``(n, len(labels[k]))`` real and imaginary amplitudes of ``(n, d)`` payloads.
+
+        One pair per stage; a pruned term is zero.  A shift that would move a
+        nonzero term off the lattice raises OutOfBounds for the first payload
+        that does so, as the dict engine walking the payloads one by one does.
+        """
+        payload = {"alice": (alice.real, alice.imag), "bob": (bob.real, bob.imag)}
+        re = np.ones((len(alice), len(self.labels[0])))
+        im = np.zeros_like(re)
+        for source, column in self.blocks:
+            wr, wi = (column, 0.0) if source is None else (x[:, column] for x in payload[source])
+            re, im = re * wr - im * wi, re * wi + im * wr
+        stages = [_pruned(re, im)]
+        re, im = stages[0]
+        for ops in self.steps:
+            for op in ops:
+                if isinstance(op, GateOp):
+                    ar, ai = re[:, op.src], im[:, op.src]
+                    pr = op.gr * ar - op.gi * ai
+                    pi = op.gr * ai + op.gi * ar
+                    re, im = _pruned((0.0 + pr[:, 0]) + pr[:, 1], (0.0 + pi[:, 0]) + pi[:, 1])
+                    continue
+                # The dict engine adds each shifted term to 0.0, turning -0.0 into 0.0.
+                re, im = 0.0 + re, 0.0 + im
+                if op.keep is None:
+                    continue
+                hit = (re[:, op.exits] != 0.0) | (im[:, op.exits] != 0.0)
+                if hit.any():
+                    if len(re) > 1:  # the first payload that exits raises, row by row
+                        for k in range(len(re)):
+                            self.run(alice[k : k + 1], bob[k : k + 1])
+                    raise OutOfBounds(op.messages[hit[0].argmax()])
+                re, im = re[:, op.keep], im[:, op.keep]
+            stages.append((re, im))
+        return stages
+
+    def state(self, stage: int, re: np.ndarray, im: np.ndarray) -> SparseState:
+        """One row of a stage's amplitudes as a state."""
+        kept = np.flatnonzero((re != 0.0) | (im != 0.0))
+        labels = self.labels[stage]
+        terms = zip(kept.tolist(), re[kept].tolist(), im[kept].tolist())
+        return SparseState._derived(self.layout, {labels[k]: complex(r, i) for k, r, i in terms}, PRUNE_TOL)
+
+
+def _pruned(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    small = np.hypot(re, im) < PRUNE_TOL
+    return np.where(small, 0.0, re), np.where(small, 0.0, im)
+
+
+def compile_walk(
+    layout: RegisterLayout,
+    blocks: Sequence[tuple[Sequence[Label], str | Sequence[float]]],
+    steps: Sequence[WalkStep],
+) -> WalkProgram:
+    """Compile the initial product state and the steps into a ``WalkProgram``.
+
+    ``blocks`` are ``(parts, weights)`` in layout order, as
+    ``protocols.initial_blocks`` gives them: each part extends a label, and a
+    block's weights are constants or the name of a payload vector.  Every
+    check the step functions make is made here, once: ``NotUnitary``,
+    ``WrongRegisterKind`` and ``UnknownRegister`` raise from the compile.
+    """
+    combos = np.array(list(itertools.product(*(range(len(parts)) for parts, _ in blocks))))
+    labels = [sum((blocks[b][0][k] for b, k in enumerate(combo)), ()) for combo in combos.tolist()]
+    program_blocks = tuple(
+        (weights, combos[:, b]) if isinstance(weights, str) else (None, np.array(weights)[combos[:, b]])
+        for b, (_, weights) in enumerate(blocks)
+    )
+    stages, program_steps = [tuple(labels)], []
+    for step in steps:
+        ops: list[GateOp | ShiftOp] = []
+        for register, gate in step.gates:
+            c = coin_index(layout, register)
+            check_unitary(gate)
+            gate = np.asarray(gate, dtype=complex)
+            sources: dict[Label, list[tuple[int, complex]]] = {}
+            for i, label in enumerate(labels):
+                for u in (0, 1):
+                    if gate[u, label[c]] != 0.0:
+                        out = label[:c] + (u,) + label[c + 1 :]
+                        sources.setdefault(out, []).append((i, gate[u, label[c]]))
+            pairs = [src if len(src) == 2 else src + [(src[0][0], 0j)] for src in sources.values()]
+            src = np.array([[i for i, _ in pair] for pair in pairs]).T
+            g = np.array([[w for _, w in pair] for pair in pairs]).T
+            ops.append(GateOp(src, g.real.copy(), g.imag.copy()))
+            labels = list(sources)
+        for cs in step.shifts:
+            pos = position_index(layout, cs.position)
+            reg = layout.registers[pos]
+            coins = layout.subset(cs.coins)
+            moved, exits, messages = [], [], []
+            for i, label in enumerate(labels):
+                try:
+                    value = shift_value(reg, label[pos], cs.rule[tuple(label[k] for k in coins)])
+                except OutOfBounds as exc:
+                    exits.append(i)
+                    messages.append(str(exc))
+                    continue
+                moved.append(label[:pos] + (value,) + label[pos + 1 :])
+            keep = np.setdiff1d(np.arange(len(labels)), exits) if exits else None
+            ops.append(ShiftOp(np.array(exits, dtype=int), tuple(messages), keep))
+            labels = moved
+        program_steps.append(tuple(ops))
+        stages.append(tuple(labels))
+    arrays = [c for _, c in program_blocks] + [
+        a for ops in program_steps for op in ops for a in vars(op).values() if isinstance(a, np.ndarray)
+    ]
+    read_only(*arrays)
+    return WalkProgram(layout, program_blocks, tuple(program_steps), tuple(stages))
