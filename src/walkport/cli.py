@@ -543,6 +543,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # pair two protocols' outcomes, is a failed protocol claim.
         failed = isinstance(exc, (NoPauliCorrection, MappingIncomplete))
         return EXIT_VERIFY if failed else EXIT_CONFIG
+    except MemoryError:
+        print("error: out of memory; try a smaller --count", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

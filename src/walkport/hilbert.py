@@ -157,51 +157,37 @@ class RegisterLayout:
 class SparseState:
     """Immutable sparse wavefunction: a map from basis labels to amplitudes.
 
-    Entries below the prune tolerance are dropped at construction; all
-    labels are range-checked and all amplitudes checked finite, so a state
-    that exists is a valid one.
+    Entries below ``PRUNE_TOL``, the one prune tolerance, are dropped at
+    construction; all labels are range-checked and all amplitudes checked
+    finite, so a state that exists is a valid one.
     """
 
-    __slots__ = ("layout", "tol", "_amps")
+    __slots__ = ("layout", "_amps")
 
-    def __init__(
-        self,
-        layout: RegisterLayout,
-        amps: Mapping[Label, complex],
-        tol: float = PRUNE_TOL,
-    ):
-        self._fill(layout, amps, tol, validate=True)
+    def __init__(self, layout: RegisterLayout, amps: Mapping[Label, complex]):
+        self._fill(layout, amps, validate=True)
 
     @classmethod
-    def _derived(
-        cls, layout: RegisterLayout, amps: Mapping[Label, complex], tol: float
-    ) -> "SparseState":
+    def _derived(cls, layout: RegisterLayout, amps: Mapping[Label, complex]) -> "SparseState":
         """A state whose labels an engine operation derived from valid labels.
 
         Prunes and checks amplitudes like the constructor, but skips
         ``validate_label``: the operation already kept every label in range.
         """
         state = cls.__new__(cls)
-        state._fill(layout, amps, tol, validate=False)
+        state._fill(layout, amps, validate=False)
         return state
 
-    def _fill(
-        self,
-        layout: RegisterLayout,
-        amps: Mapping[Label, complex],
-        tol: float,
-        validate: bool,
-    ) -> None:
+    def _fill(self, layout: RegisterLayout, amps: Mapping[Label, complex], validate: bool) -> None:
         kept: dict[Label, complex] = {}
         for label, amp in amps.items():
             amp = complex(amp)
-            if abs(amp) < tol:
+            if abs(amp) < PRUNE_TOL:
                 continue
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise NonFiniteAmplitude(f"non-finite amplitude at {label}")
             kept[layout.validate_label(label) if validate else label] = amp
         self.layout = layout
-        self.tol = tol
         self._amps = kept
 
     @property
@@ -238,11 +224,7 @@ class SparseState:
         }
 
 
-def superpose(
-    layout: RegisterLayout,
-    terms: Iterable[tuple[Iterable[int], complex]],
-    tol: float = PRUNE_TOL,
-) -> SparseState:
+def superpose(layout: RegisterLayout, terms: Iterable[tuple[Iterable[int], complex]]) -> SparseState:
     """Weighted sum of basis vectors; duplicate labels merge additively."""
     amps: dict[Label, complex] = {}
     count = 0
@@ -252,7 +234,17 @@ def superpose(
         count += 1
     if count == 0:
         raise EmptyState("superpose needs at least one term")
-    return SparseState(layout, amps, tol)
+    return SparseState(layout, amps)
+
+
+def below_prune_tol(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Where ``|re + i·im|`` is below ``PRUNE_TOL``: the one array prune.
+
+    ``np.hypot`` rounds as Python's ``abs`` of a complex does, which
+    ``SparseState`` prunes with; ``np.abs`` of a complex array can differ in
+    the last bit.
+    """
+    return np.hypot(re, im) < PRUNE_TOL
 
 
 def read_only(*arrays: np.ndarray) -> None:
@@ -261,12 +253,12 @@ def read_only(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
-def check_unitary(gate: np.ndarray, tol: float = GATE_TOL) -> None:
+def check_unitary(gate: np.ndarray) -> None:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise NotUnitary(f"expected a 2x2 matrix, got shape {gate.shape}")
     defect = np.abs(gate.conj().T @ gate - np.eye(2)).max()
-    if defect > tol:
+    if defect > GATE_TOL:
         raise NotUnitary(f"matrix fails unitarity by {defect:.3e}")
 
 
@@ -292,4 +284,4 @@ def apply_coin_gate(state: SparseState, register: str, gate: np.ndarray) -> Spar
                 continue
             new_label = label[:idx] + (u,) + label[idx + 1 :]
             amps[new_label] = amps.get(new_label, 0.0 + 0.0j) + w * amp
-    return SparseState._derived(state.layout, amps, state.tol)
+    return SparseState._derived(state.layout, amps)

@@ -52,6 +52,7 @@ from .protocols import (
     bits_to_index,
     run_walks,
     stack_payloads,
+    walk_program,
 )
 
 VACUOUS_TOL = 1e-14
@@ -102,9 +103,9 @@ def project(
         amps[rest] = amps.get(rest, 0.0 + 0.0j) + w.conjugate() * amp
     prob = sum((a * a.conjugate()).real for a in amps.values())
     if prob <= RENORM_TOL_SQ:
-        return prob, SparseState(rest_layout, {}, state.tol)
+        return prob, SparseState(rest_layout, {})
     scale = 1.0 / math.sqrt(prob)
-    return prob, SparseState(rest_layout, {l: a * scale for l, a in amps.items()}, state.tol)
+    return prob, SparseState(rest_layout, {l: a * scale for l, a in amps.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def apply_pauli_string(
                 raise UnknownPauliOp(f"unknown Pauli op {op!r}")
             out[label] = amp
         amps = out
-    return SparseState(state.layout, amps, state.tol)
+    return SparseState(state.layout, amps)
 
 
 @functools.cache
@@ -360,21 +361,25 @@ class BranchMaps:
 def walk_map(spec: ProtocolSpec) -> tuple[tuple[Label, ...], sparse.csr_matrix]:
     """The sorted labels the basis walks reach, and the ``labels × d²`` walk map.
 
-    Column ``i*d + j`` is ``run_walks`` of the basis payloads ``(e_i, e_j)``.
+    Column ``i*d + j`` is the walk of the basis payloads ``(e_i, e_j)``; all
+    ``d²`` are one ``walk_program`` run on the stacked basis rows.  Entries
+    are assembled from the run's real and imaginary parts, bit for bit.
     Cached per spec object and shared, like ``branch_maps``: read only.
     """
     d = 1 << spec.qubits
-    basis = np.eye(d)
-    walks = [run_walks(spec, Payload(basis[i], basis[j])) for i in range(d) for j in range(d)]
-    labels = tuple(sorted(set().union(*(w.amps for w in walks))))
-    row = {label: k for k, label in enumerate(labels)}
-    rows, cols, data = zip(
-        *((row[label], col, amp) for col, w in enumerate(walks) for label, amp in w.amps.items())
-    )
-    matrix = sparse.csr_matrix((np.array(data, dtype=complex), (rows, cols)), (len(labels), d * d))
-    matrix.sort_indices()
+    eye = np.eye(d, dtype=complex)
+    program = walk_program(spec)
+    re, im = program.run(np.repeat(eye, d, 0), np.tile(eye, (d, 1)))[-1]
+    final = program.labels[-1]
+    reached = np.flatnonzero(((re != 0.0) | (im != 0.0)).any(axis=0)).tolist()
+    reached.sort(key=final.__getitem__)
+    re, im = re[:, reached].T, im[:, reached].T
+    rows, cols = np.nonzero((re != 0.0) | (im != 0.0))
+    data = np.empty(len(rows), dtype=complex)
+    data.real, data.imag = re[rows, cols], im[rows, cols]
+    matrix = sparse.csr_matrix((data, (rows, cols)), (len(reached), d * d))
     read_only(matrix.data, matrix.indices, matrix.indptr)
-    return labels, matrix
+    return tuple(final[k] for k in reached), matrix
 
 
 def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionOverflow
-from .hilbert import COIN, LATTICE, PRUNE_TOL, Register, RegisterLayout, SparseState, read_only
+from .hilbert import COIN, LATTICE, Register, RegisterLayout, SparseState, below_prune_tol, read_only
 from .protocols import Payload, ProtocolSpec, get_protocol
 from .walkops import WalkStep
 
@@ -56,9 +56,7 @@ def value_index(reg: Register, value: int) -> int:
     return value + reg.size if reg.kind == LATTICE else value
 
 
-def support_state(
-    layout: RegisterLayout, indices: np.ndarray, values: np.ndarray, tol: float
-) -> SparseState:
+def support_state(layout: RegisterLayout, indices: np.ndarray, values: np.ndarray) -> SparseState:
     """The state with ``values`` at the flat ``indices`` and zero elsewhere.
 
     One mixed-radix ``unravel_index`` over all indices gives the dense axis
@@ -69,12 +67,12 @@ def support_state(
     positions = np.unravel_index(indices, [reg.dim for reg in layout])
     offsets = [value_index(reg, 0) for reg in layout]
     labels = (np.stack(positions, axis=1) - offsets).tolist()
-    return SparseState._derived(layout, dict(zip(map(tuple, labels), values.tolist())), tol)
+    return SparseState._derived(layout, dict(zip(map(tuple, labels), values.tolist())))
 
 
-def sparsify(vec: np.ndarray, layout: RegisterLayout, tol: float = 1e-12) -> SparseState:
-    indices = np.flatnonzero(np.abs(vec) >= tol)
-    return support_state(layout, indices, vec[indices], tol)
+def sparsify(vec: np.ndarray, layout: RegisterLayout) -> SparseState:
+    indices = np.flatnonzero(~below_prune_tol(vec.real, vec.imag))
+    return support_state(layout, indices, vec[indices])
 
 
 def reach(spec: ProtocolSpec) -> int | None:
@@ -261,5 +259,5 @@ def dense_run(spec: ProtocolSpec, payload: Payload) -> SparseState:
     indices, values = initial_support(spec, payload)
     for k in range(len(spec.steps)):
         indices, values = apply_to_support(cached_step_matrix(spec, k), indices, values)
-    keep = np.abs(values) >= PRUNE_TOL
-    return support_state(spec.layout, indices[keep], values[keep], PRUNE_TOL)
+    keep = ~below_prune_tol(values.real, values.imag)
+    return support_state(spec.layout, indices[keep], values[keep])

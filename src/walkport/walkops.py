@@ -25,12 +25,12 @@ from .hilbert import (
     COIN,
     CYCLE,
     LATTICE,
-    PRUNE_TOL,
     Label,
     Register,
     RegisterLayout,
     SparseState,
     apply_coin_gate,
+    below_prune_tol,
     check_unitary,
     coin_index,
     read_only,
@@ -102,7 +102,7 @@ def apply_conditioned_shift(state: SparseState, cs: ConditionedShift) -> SparseS
         moved = shift_value(reg, label[pos], step)
         new_label = label[:pos] + (moved,) + label[pos + 1 :]
         amps[new_label] = amps.get(new_label, 0.0 + 0.0j) + amp
-    return SparseState._derived(layout, amps, state.tol)
+    return SparseState._derived(layout, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +174,9 @@ class WalkProgram:
     Amplitudes are separate real and imaginary arrays.  Every complex product
     is written out with float ufuncs, because numpy's vector complex multiply
     differs in the last bit from the scalar products the dict engine takes,
-    and terms are pruned where ``np.hypot`` (equal to Python's ``abs``) is below
-    ``PRUNE_TOL``.  A pruned term and an exact zero then add the same, so the
-    dict order of the sums does not matter.
+    and terms are pruned by ``below_prune_tol``, which rounds ``|z|`` as the
+    dict engine's ``abs`` does.  A pruned term and an exact zero then add the
+    same, so the dict order of the sums does not matter.
     """
 
     layout: RegisterLayout
@@ -226,11 +226,11 @@ class WalkProgram:
         kept = np.flatnonzero((re != 0.0) | (im != 0.0))
         labels = self.labels[stage]
         terms = zip(kept.tolist(), re[kept].tolist(), im[kept].tolist())
-        return SparseState._derived(self.layout, {labels[k]: complex(r, i) for k, r, i in terms}, PRUNE_TOL)
+        return SparseState._derived(self.layout, {labels[k]: complex(r, i) for k, r, i in terms})
 
 
 def _pruned(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    small = np.hypot(re, im) < PRUNE_TOL
+    small = below_prune_tol(re, im)
     return np.where(small, 0.0, re), np.where(small, 0.0, im)
 
 

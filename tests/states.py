@@ -41,7 +41,7 @@ def is_normalized(state: SparseState, tol: float = NORM_TOL) -> bool:
 def normalized(state: SparseState) -> SparseState:
     """The state scaled to unit norm; the caller keeps it nonzero."""
     scale = 1.0 / math.sqrt(state.norm2())
-    return SparseState(state.layout, {l: scale * a for l, a in state.amps.items()}, state.tol)
+    return SparseState(state.layout, {l: scale * a for l, a in state.amps.items()})
 
 
 def allclose(x: SparseState, y: SparseState, tol: float = NORM_TOL) -> bool:

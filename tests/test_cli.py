@@ -445,6 +445,21 @@ def test_non_positive_count_is_a_config_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "verb", [("run", "line1q"), ("equiv", "two-qubit"), ("equiv", "cycle-line"), ("oracle-check", "line1q")]
+)
+def test_memory_exhaustion_is_a_config_error_naming_count(verb, capsys, monkeypatch):
+    # The draw raises before allocating anything, as numpy does for an array too large to map.
+    def exhausted(seed, count, qubits):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "seeded_payloads", exhausted)
+    assert run_cli(*verb, "--count", "1000000000") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "--count" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("oracle-check", "line1q", "--bound", "5"),

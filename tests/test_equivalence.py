@@ -10,6 +10,7 @@ from walkport import cli, equivalence, measure, protocols
 from walkport.errors import MappingIncomplete, NoPauliCorrection
 from walkport.hilbert import SparseState
 from walkport.protocols import PositionFamily, get_protocol, run_walks, seeded_payloads
+from walkport.walkops import WalkProgram
 
 from test_spec_mutations import CASES, MUTANT_KINDS, first_jump_off_by_one, last_walk_map
 
@@ -392,7 +393,7 @@ def reduce_mod4(state, cycle_layout):
             for reg, v in zip(state.layout.registers, label)
         )
         amps[reduced] = amps.get(reduced, 0.0 + 0.0j) + amp
-    return SparseState(cycle_layout, amps, state.tol)
+    return SparseState(cycle_layout, amps)
 
 
 def per_payload_cycle_line_equivalence(payloads, cycle_table=None):
@@ -552,23 +553,23 @@ def test_tables_and_cycle_line_calls_walk_each_basis_payload_once(tmp_path, monk
     # A fresh memo gives this test its own spec objects, so every per-spec
     # cache (walk maps, branch maps, tables, pairs, difference map) starts cold.
     monkeypatch.setattr(protocols, "_protocol", functools.cache(protocols._protocol.__wrapped__))
+    ids = {get_protocol(pid).layout: pid for pid in ("line1q", "cycle1q")}
     walked = []
-    walk = measure.run_walks
+    run = WalkProgram.run
 
-    def counted(spec, payload):
-        walked.append(spec.id)
-        return walk(spec, payload)
+    def counted(program, alice, bob):
+        walked.append((ids[program.layout], len(alice)))
+        return run(program, alice, bob)
 
-    monkeypatch.setattr(measure, "run_walks", counted)
-    monkeypatch.setattr(equivalence, "run_walks", counted)
+    monkeypatch.setattr(WalkProgram, "run", counted)
     out = str(tmp_path / "report.json")
     equiv = ["equiv", "cycle-line", "--count", "24"]
     for argv in (["tables", "line1q"], ["tables", "cycle1q"], equiv, equiv):
         assert cli.main([*argv, "--out", out]) == 0
-    # Four basis walks per protocol for its walk map, shared by the branch
-    # maps and the difference map, plus the origin spot check's cycle walk
-    # once per equiv call.
-    assert collections.Counter(walked) == {"line1q": 4, "cycle1q": 4 + 2}
+    # One run of the four basis payloads per protocol for its walk map,
+    # shared by the branch maps and the difference map, plus the origin spot
+    # check's one-payload cycle walk once per equiv call.
+    assert collections.Counter(walked) == {("line1q", 4): 1, ("cycle1q", 4): 1, ("cycle1q", 1): 2}
 
 
 def test_equiv_cycle_line_walks_once_per_call_after_the_first(warm_tables, tmp_path, monkeypatch):

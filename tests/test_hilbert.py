@@ -21,9 +21,11 @@ from walkport.errors import (
 )
 from walkport.hilbert import (
     HADAMARD,
+    PRUNE_TOL,
     RegisterLayout,
     SparseState,
     apply_coin_gate,
+    below_prune_tol,
     coin,
     cycle,
     lattice,
@@ -160,7 +162,7 @@ def test_prune_keeps_balanced_state():
     w = 0.5
     labels = [(0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 1, 1, 0, 0)]
     s = superpose(LINE, [(l, w) for l in labels])
-    pruned = SparseState(s.layout, s.amps, s.tol)
+    pruned = SparseState(s.layout, s.amps)
     assert len(pruned) == 4
     assert abs(pruned.norm2() - s.norm2()) < 1e-10
 
@@ -170,7 +172,18 @@ def test_prune_leaves_generic_walk_state_intact():
 
     payload = random_payload(np.random.default_rng(5), 1)
     state = run_walks(get_protocol("line1q"), payload)
-    assert len(SparseState(state.layout, state.amps, state.tol)) == 16
+    assert len(SparseState(state.layout, state.amps)) == 16
+
+
+def test_array_prune_rounds_as_the_state_prune():
+    # Magnitudes within a few ulps of the cut, where np.abs and abs round differently.
+    rng = np.random.default_rng(7)
+    size = PRUNE_TOL * (1 + rng.integers(-6, 7, 20000) * np.finfo(float).eps)
+    angle = rng.uniform(0, 2 * math.pi, len(size))
+    re, im = size * np.cos(angle), size * np.sin(angle)
+    small = [abs(complex(r, i)) < PRUNE_TOL for r, i in zip(re.tolist(), im.tolist())]
+    assert below_prune_tol(re, im).tolist() == small
+    assert 0 < sum(small) < len(small)
 
 
 def test_public_constructor_validates_labels():

@@ -40,6 +40,7 @@ from walkport.protocols import (
     run_walks,
     seeded_payloads,
 )
+from walkport.walkops import WalkProgram
 
 from test_spec_mutations import CASES as MUTATIONS
 
@@ -579,7 +580,7 @@ def test_first_failing_key_is_named_when_later_keys_fail_too(warm_tables):
 
 
 def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
-    calls = {"run_walks": 0, "project": 0, "branch_finals": 0}
+    calls = {"project": 0, "branch_finals": 0}
 
     def counted(name):
         original = getattr(measure, name)
@@ -592,12 +593,16 @@ def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(measure, name, counted(name))
+    rows = []
+    run = WalkProgram.run
+    monkeypatch.setattr(WalkProgram, "run", lambda self, a, b: rows.append(len(a)) or run(self, a, b))
     measure.walk_map.cache_clear()
     for pid in ("line1q", "twostep2q"):
         spec = get_protocol(pid)
-        before = calls["run_walks"]
+        before = len(rows)
         measure.compile_branch_maps(spec)
-        assert calls["run_walks"] - before == 4**spec.qubits
+        # One program run on the stacked d² basis payloads.
+        assert rows[before:] == [4**spec.qubits]
     assert (calls["project"], calls["branch_finals"]) == (0, 0)
 
 

@@ -31,7 +31,7 @@ def test_densify_one_hot_indexing():
     assert abs(vec[idx] - state.amplitude((0, 0, 0, 0, 0, 0))) < 1e-15
     dim = oracle.layout_dim(spec.layout)
     indices = np.array([0, idx, dim - 1])
-    back = oracle.support_state(spec.layout, indices, np.array([1.0, 2.0, 3.0]), 1e-12)
+    back = oracle.support_state(spec.layout, indices, np.array([1.0, 2.0, 3.0]))
     assert list(back.amps) == [(-2, -2, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (2, 2, 1, 1, 1, 1)]
     assert [label_to_index(spec.layout, label) for label in back.amps] == indices.tolist()
 
@@ -42,7 +42,7 @@ def test_densify_sparsify_roundtrip_random_vectors():
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
-    back = densify(oracle.sparsify(vec, spec.layout, tol=0.0))
+    back = densify(oracle.sparsify(vec, spec.layout))
     assert np.abs(back - vec).max() < 1e-14
 
 

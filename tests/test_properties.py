@@ -1,6 +1,8 @@
 """Property-based checks of the engine invariants."""
 
+import cmath
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from states import PAULI_X, PAULI_Z, densify, normalized, state_from_json_dict
 from walkport.hilbert import (
     HADAMARD,
+    PRUNE_TOL,
     RegisterLayout,
     SparseState,
     apply_coin_gate,
@@ -34,6 +37,14 @@ def labels_strategy():
 def amplitudes_strategy():
     part = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     return st.builds(complex, part, part).filter(lambda z: abs(z) > 1e-3)
+
+
+def near_cut_amplitudes():
+    """Amplitudes on both sides of ``PRUNE_TOL``, and on the cut itself."""
+    size = st.one_of(
+        st.floats(1e-14, 1e-10), st.sampled_from((PRUNE_TOL, math.nextafter(PRUNE_TOL, 0.0)))
+    )
+    return st.builds(cmath.rect, size, st.floats(-math.pi, math.pi))
 
 
 def states_strategy(max_terms=6):
@@ -92,17 +103,23 @@ def test_serialization_is_deterministic_and_lossless(state):
     assert state_from_json_dict(json.loads(blob1)).max_delta(state) < 1e-15
 
 
-@given(states_strategy(), st.floats(1e-12, 1e-2))
-def test_prune_norm_change_bounded(state, tol):
-    kept = SparseState(state.layout, state.amps, tol)
-    dropped = [a for l, a in state.amps.items() if abs(a) < tol]
-    assert abs(kept.norm2() + sum(abs(a) ** 2 for a in dropped) - state.norm2()) < 1e-12
-    assert all(abs(a) >= tol for a in kept.amps.values())
+@given(
+    st.dictionaries(
+        labels_strategy(), st.one_of(near_cut_amplitudes(), amplitudes_strategy()), min_size=1, max_size=6
+    )
+)
+def test_prune_norm_change_bounded(amps):
+    kept = SparseState(LAYOUT, amps)
+    dropped = [a for a in amps.values() if abs(a) < PRUNE_TOL]
+    assert kept.amps == {l: a for l, a in amps.items() if abs(a) >= PRUNE_TOL}
+    assert all(abs(a) >= PRUNE_TOL for a in kept.amps.values())
+    full = sum(abs(a) ** 2 for a in amps.values())
+    assert math.isclose(kept.norm2() + sum(abs(a) ** 2 for a in dropped), full, rel_tol=1e-12)
 
 
 @given(states_strategy())
 def test_densify_sparsify_roundtrip(state):
     vec = densify(state)
-    back = oracle.sparsify(vec, LAYOUT, tol=0.0)
+    back = oracle.sparsify(vec, LAYOUT)
     assert back.max_delta(state) < 1e-14
     assert abs(np.linalg.norm(vec) ** 2 - state.norm2()) < 1e-12

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
+from scipy import sparse
 
 from states import PAULI_X
 from walkport import measure
@@ -104,14 +105,19 @@ def test_a_stack_equals_its_one_row_runs(pid):
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
-def test_walk_map_equals_the_dict_engines(pid, monkeypatch):
+def test_walk_map_equals_the_dict_engines(pid):
+    # Column i*d + j is the dict engine's walk of (e_i, e_j), its amplitudes filled in as stored.
     spec = get_protocol(pid)
     labels, matrix = measure.walk_map(spec)
-    monkeypatch.setattr(measure, "run_walks", lambda s, p: dict_states(s, p)[-1])
-    dict_labels, dict_matrix = measure.walk_map.__wrapped__(spec)
+    walks = [dict_states(spec, payload)[-1] for payload in basis_payloads(spec.qubits)]
+    dict_labels = tuple(sorted(set().union(*(w.amps for w in walks))))
+    row = {label: k for k, label in enumerate(dict_labels)}
+    rows, cols, data = zip(*((row[l], col, a) for col, w in enumerate(walks) for l, a in w.amps.items()))
+    dict_matrix = sparse.csr_matrix((np.array(data), (rows, cols)), (len(dict_labels), len(walks)))
+    dict_matrix.sort_indices()
     assert labels == dict_labels
     for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(matrix, field), getattr(dict_matrix, field))
+        assert getattr(matrix, field).tobytes() == getattr(dict_matrix, field).tobytes()
 
 
 def test_signed_zeros_when_a_payload_is_the_last_factor():
