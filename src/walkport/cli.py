@@ -4,7 +4,10 @@ Verbs: ``run`` enumerates and verifies every measurement branch of one
 protocol, ``equiv`` runs the cross-protocol equivalence checks, ``tables``
 emits synthesized correction tables next to the bundled reference ones
 with disagreements flagged, and ``oracle-check`` cross-validates the
-sparse engine against the oracle's literal step matrices.
+walk program against the oracle's literal step matrices.  It runs the
+program once per chunk of payloads and compares each payload's amplitudes
+with the oracle's support as arrays (``oracle.state_delta``), with no state
+built.
 
 Exit status: 0 on verified success, 1 on verification failure, 2 on a
 configuration error or a failed write.  Reports are JSON written by
@@ -31,7 +34,9 @@ import numpy as np
 
 from . import equivalence, measure, oracle
 from .errors import MappingIncomplete, NoPauliCorrection, WalkportError
-from .protocols import (
+# run_walks stays bound here for the benchmark tracer's rebinding test
+# (perfbench/tests/test_perfbench.py::test_install_rebinds_every_binding_and_remove_restores).
+from .protocols import (  # noqa: F401
     DEFAULT_BOUND,
     PROTOCOL_IDS,
     Payload,
@@ -39,6 +44,8 @@ from .protocols import (
     get_protocol,
     run_walks,
     seeded_payloads,
+    stack_payloads,
+    walk_program,
 )
 
 SCHEMA = 1
@@ -435,10 +442,16 @@ def cmd_oracle_check(args) -> int:
         spec = get_protocol(pid)
         ospec = oracle.oracle_spec(pid)
         defects = [oracle.cached_unitarity_defect(ospec, k) for k in range(4)]
+        program = walk_program(spec)
+        payloads = seeded_payloads(seed, count, spec.qubits)
+        # One program run per chunk, bounded like measure.scored_payloads's.
+        rows = max(1, measure.SCORE_ENTRIES // len(program.labels[-1]))
         max_delta = 0.0
-        for payload in seeded_payloads(seed, count, spec.qubits):
-            dense = oracle.dense_run(ospec, payload)
-            max_delta = max(max_delta, dense.max_delta(run_walks(spec, payload)))
+        for start in range(0, count, rows):
+            chunk = payloads[start : start + rows]
+            re, im = program.run(*stack_payloads(spec, chunk))[-1]
+            for payload, *row in zip(chunk, re, im):
+                max_delta = max(max_delta, oracle.state_delta(program, ospec, payload, *row))
         protocol_ok = max(defects) < ORACLE_TOL and max_delta < ORACLE_TOL
         ok = ok and protocol_ok
         checks.append(

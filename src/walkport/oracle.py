@@ -3,11 +3,16 @@
 Each walk step becomes a literal operator matrix on the truncated space,
 assembled with scipy.sparse Kronecker products of per-register factors and
 checked for unitarity as a matrix.  A state is indexed by a mixed-radix
-encoding of its basis label.  ``dense_run`` applies the matrices to the
+encoding of its basis label.  ``dense_support`` applies the matrices to the
 state's support only: it keeps the sorted flat indices of the nonzero
 amplitudes and their values, and each step gathers the matrix columns of
 those indices.  Its cost follows the support (at most 256 terms here), not
-the dimension of the space.
+the dimension of the space.  ``dense_run`` returns that support as a state.
+
+``state_delta`` compares the support with the walk program's final
+amplitudes as arrays: ``label_indices`` maps each program label to its flat
+index once per program, and the delta is the max of ``np.hypot`` over both
+supports, the float ``SparseState.max_delta`` of the two states gives.
 
 The truncation is derived from the spec, not tabulated: a lattice walker's
 reach is the sum, over the steps, of the largest |jump| among the shift
@@ -29,10 +34,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionOverflow
+from .errors import DimensionOverflow, NonFiniteAmplitude
 from .hilbert import COIN, LATTICE, Register, RegisterLayout, SparseState, below_prune_tol, read_only
 from .protocols import Payload, ProtocolSpec, get_protocol
-from .walkops import WalkStep
+from .walkops import WalkProgram, WalkStep
 
 DIM_CAP = 1 << 26
 
@@ -254,10 +259,72 @@ def cached_unitarity_defect(spec: ProtocolSpec, step_index: int) -> float:
     return unitarity_defect(cached_step_matrix(spec, step_index))
 
 
-def dense_run(spec: ProtocolSpec, payload: Payload) -> SparseState:
-    """Pre-measurement state from the literal step matrices, evolved on its support."""
+def dense_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-measurement state from the literal step matrices, evolved on its support.
+
+    Returns the sorted flat indices of its terms and their amplitudes, pruned
+    by ``below_prune_tol``.
+    """
     indices, values = initial_support(spec, payload)
     for k in range(len(spec.steps)):
         indices, values = apply_to_support(cached_step_matrix(spec, k), indices, values)
     keep = ~below_prune_tol(values.real, values.imag)
-    return support_state(spec.layout, indices[keep], values[keep])
+    return indices[keep], values[keep]
+
+
+def dense_run(spec: ProtocolSpec, payload: Payload) -> SparseState:
+    """``dense_support`` as a state."""
+    return support_state(spec.layout, *dense_support(spec, payload))
+
+
+@functools.cache
+def label_indices(program: WalkProgram, ospec: ProtocolSpec) -> np.ndarray:
+    """The flat index in ``ospec``'s space of each final label of ``program``.
+
+    The inverse of ``support_state``'s ``unravel_index``: one mixed-radix
+    ``ravel_multi_index`` of the labels' dense axis positions.  A label
+    outside the truncated space maps to -1.  Built once per program and
+    spec object; read only.
+    """
+    dims = [reg.dim for reg in ospec.layout]
+    labels = np.array(program.labels[-1])
+    positions = labels + [value_index(reg, 0) for reg in ospec.layout]
+    inside = ((positions >= 0) & (positions < dims)).all(axis=1)
+    flat = np.full(len(labels), -1)
+    flat[inside] = np.ravel_multi_index(tuple(positions[inside].T), dims)
+    read_only(flat)
+    return flat
+
+
+def state_delta(
+    program: WalkProgram, ospec: ProtocolSpec, payload: Payload, re: np.ndarray, im: np.ndarray
+) -> float:
+    """``dense_run(ospec, payload).max_delta(state)``, on arrays, with no state built.
+
+    ``re`` and ``im`` are the payload's final amplitudes from ``program``,
+    one per label, and ``state`` is ``program.state(-1, re, im)``.  Each
+    label is paired with the oracle's term at its flat index
+    (``label_indices``), or with 0.0 where the oracle has no term there or
+    the label is outside the space; an oracle term that no label pairs with
+    counts at its own |amplitude|.  ``np.hypot`` rounds as the states'
+    complex ``abs`` does, so the max is the same float.  A non-finite
+    amplitude on either side makes it non-finite and raises
+    NonFiniteAmplitude, as building either state would.
+    """
+    indices, values = dense_support(ospec, payload)
+    flat = label_indices(program, ospec)
+    slots = np.searchsorted(indices, flat)
+    paired = slots < len(indices)  # a slot past the last index pairs with nothing
+    paired[paired] = indices[slots[paired]] == flat[paired]
+    matched = slots[paired]
+    oracle_at = np.zeros(len(flat), dtype=complex)
+    oracle_at[paired] = values[matched]
+    unpaired = np.ones(len(indices), dtype=bool)
+    unpaired[matched] = False
+    delta = np.maximum(
+        np.hypot(oracle_at.real - re, oracle_at.imag - im).max(initial=0.0),
+        np.hypot(values.real[unpaired], values.imag[unpaired]).max(initial=0.0),
+    )
+    if not np.isfinite(delta):
+        raise NonFiniteAmplitude(f"non-finite amplitude in {ospec.id}'s final state")
+    return float(delta)

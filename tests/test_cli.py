@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from walkport import cli, measure, oracle, protocols
+from walkport import cli, hilbert, measure, oracle, protocols, walkops
 from walkport.cli import dyadic, main, parse_amplitudes, parse_family_selection
 from walkport.errors import NoPauliCorrection
 
@@ -262,6 +262,38 @@ def test_oracle_check_fast_protocols(tmp_path):
     report = read_json(out)
     assert report["ok"]
     assert all(d < 1e-10 for d in report["checks"][0]["unitarity_defects"])
+
+
+def test_oracle_check_report_is_the_same_in_small_chunks(tmp_path, monkeypatch):
+    argv = ["oracle-check", "--seed", "4", "--count", "5"]
+    one = tmp_path / "one.json"
+    assert run_cli(*argv, "--out", str(one)) == 0
+    # 40 entries: chunks of 2 payloads on one qubit (16 labels), 1 on two (256).
+    monkeypatch.setattr(measure, "SCORE_ENTRIES", 40)
+    rows = collections.defaultdict(list)
+    run = walkops.WalkProgram.run
+
+    def counting(self, alice, bob):
+        rows[len(self.labels[-1])].append(len(alice))
+        return run(self, alice, bob)
+
+    monkeypatch.setattr(walkops.WalkProgram, "run", counting)
+    chunked = tmp_path / "chunked.json"
+    assert run_cli(*argv, "--out", str(chunked)) == 0
+    assert rows == {16: [2, 2, 1] * 2, 256: [1] * 10}
+    assert chunked.read_bytes() == one.read_bytes()
+
+
+def test_warm_oracle_check_builds_no_state(tmp_path, monkeypatch):
+    out = tmp_path / "oracle.json"
+    assert run_cli("oracle-check", "--count", "2", "--out", str(out)) == 0
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a SparseState was built")
+
+    monkeypatch.setattr(hilbert.SparseState, "_fill", no_state)
+    assert run_cli("oracle-check", "--count", "2", "--out", str(out)) == 0
+    assert read_json(out)["ok"]
 
 
 def test_table_text_format(tmp_path, warm_tables):

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 import chains
 from states import allclose, densify, label_to_index
 from test_spec_mutations import first_jump_off_by_one
-from walkport import measure, oracle
-from walkport.errors import DimensionOverflow
+from walkport import cli, measure, oracle
+from walkport.errors import DimensionOverflow, NonFiniteAmplitude
 from walkport.hilbert import COIN, RegisterLayout, lattice
 from walkport.protocols import (
     PROTOCOL_IDS,
@@ -19,6 +19,8 @@ from walkport.protocols import (
     random_payload,
     run_walks,
     seeded_payloads,
+    stack_payloads,
+    walk_program,
 )
 
 
@@ -325,3 +327,111 @@ def test_oracle_walk_map_bounds_the_delta_of_every_payload(pid, map_delta):
     delta = np.abs(dense - walks.toarray()).max()
     assert delta <= map_delta
     assert d * delta <= 1.12e-16
+
+
+def _basis_payloads(qubits: int) -> list[Payload]:
+    basis = np.eye(1 << qubits)
+    return [Payload(a, b) for a in basis for b in basis]
+
+
+def _oracle_specs(pid):
+    """The oracle's spec and, on a lattice, the spec one site short of the reach."""
+    spec = get_protocol(pid)
+    bound = oracle.reach(spec)
+    return [oracle.oracle_spec(pid)] + ([] if bound is None else [get_protocol(pid, bound - 1)])
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_state_delta_bitwise_equal_to_max_delta_of_the_states(pid):
+    # One site short, a walker wraps around: the oracle then has terms that
+    # no program label pairs with, and the program has labels outside the
+    # space.  The basis payloads give exact zeros on both sides.
+    spec = get_protocol(pid)
+    program = walk_program(spec)
+    payloads = seeded_payloads(17, 20, spec.qubits) + _basis_payloads(spec.qubits)
+    re, im = program.run(*stack_payloads(spec, payloads))[-1]
+    for ospec in _oracle_specs(pid):
+        got = [oracle.state_delta(program, ospec, p, re[k], im[k]) for k, p in enumerate(payloads)]
+        want = [oracle.dense_run(ospec, p).max_delta(run_walks(spec, p)) for p in payloads]
+        assert all(type(delta) is float for delta in got)
+        assert [_bits(d) for d in got] == [_bits(d) for d in want]
+        if ospec is oracle.oracle_spec(pid):
+            assert max(got) < 1e-10
+        else:
+            assert min(got[:20]) > 1e-10
+
+
+def test_label_indices_invert_support_state():
+    for pid in PROTOCOL_IDS:
+        program = walk_program(get_protocol(pid))
+        for ospec in _oracle_specs(pid):
+            flat = oracle.label_indices(program, ospec)
+            assert flat is oracle.label_indices(program, ospec) and not flat.flags.writeable
+            inside = flat >= 0
+            back = oracle.support_state(ospec.layout, flat[inside], np.ones(inside.sum()))
+            labels = program.labels[-1]
+            assert list(back.amps) == [label for label, kept in zip(labels, inside) if kept]
+            outside = [label for label, kept in zip(labels, inside) if not kept]
+            for label in outside:
+                assert not all(reg.admits(v) for reg, v in zip(ospec.layout, label))
+            assert bool(outside) == (ospec is not oracle.oracle_spec(pid))
+
+
+@pytest.mark.parametrize("side", ["oracle", "program"])
+def test_non_finite_amplitude_on_either_side_raises(side, monkeypatch):
+    spec = get_protocol("line1q")
+    ospec = oracle.oracle_spec("line1q")
+    program = walk_program(spec)
+    (payload,) = seeded_payloads(0, 1, spec.qubits)
+    re, im = (row[0].copy() for row in program.run(*stack_payloads(spec, [payload]))[-1])
+    if side == "oracle":
+        support = oracle.dense_support
+
+        def poisoned(spec, payload):
+            indices, values = support(spec, payload)
+            return indices, np.where(np.arange(len(values)) == 3, np.nan, values)
+
+        monkeypatch.setattr(oracle, "dense_support", poisoned)
+    else:
+        im[5] = np.nan
+    with pytest.raises(NonFiniteAmplitude):
+        oracle.state_delta(program, ospec, payload, re, im)
+
+
+def _reference_report(seed: int, count: int) -> str:
+    """The ``oracle-check`` report, with each delta taken between the two states."""
+    checks = []
+    for pid in PROTOCOL_IDS:
+        spec, ospec = get_protocol(pid), oracle.oracle_spec(pid)
+        defects = [oracle.cached_unitarity_defect(ospec, k) for k in range(4)]
+        max_delta = 0.0
+        for payload in seeded_payloads(seed, count, spec.qubits):
+            max_delta = max(max_delta, oracle.dense_run(ospec, payload).max_delta(run_walks(spec, payload)))
+        ok = max(defects) < cli.ORACLE_TOL and max_delta < cli.ORACLE_TOL
+        checks.append(
+            {
+                "protocol": pid,
+                "unitarity_defects": defects,
+                "max_state_delta": max_delta,
+                "payloads": count,
+                "ok": ok,
+            }
+        )
+    report = {
+        "schema": cli.SCHEMA,
+        "command": "oracle-check",
+        "seed": seed,
+        "tolerance": cli.ORACLE_TOL,
+        "checks": checks,
+        "ok": all(check["ok"] for check in checks),
+    }
+    return cli.report_text(report)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_oracle_check_report_equals_the_state_reference(seed, count, tmp_path):
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--seed", str(seed), "--count", str(count), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == _reference_report(seed, count).encode()
