@@ -97,6 +97,7 @@ CORPUS: list[tuple[tuple[str, ...], str | None]] = [
         ("oracle-check", "--seed", "3", "--count", "20"),
         ("oracle-check", "--protocol", "single2q", "--seed", "11", "--count", "5"),
         ("oracle-check", "single2q", "--count", "300", "--seed", "5"),  # two program-run chunks
+        ("oracle-check", "line1q", "--count", "5000", "--seed", "4"),  # two program-run chunks
         ("oracle-check", "twostep2q", "--format", "table-text"),
     )),
     (("run", "line1q", "--count", "3", "--out", "out.json"), "17"),

@@ -5,9 +5,9 @@ protocol, ``equiv`` runs the cross-protocol equivalence checks, ``tables``
 emits synthesized correction tables next to the bundled reference ones
 with disagreements flagged, and ``oracle-check`` cross-validates the
 walk program against the oracle's literal step matrices.  It runs the
-program once per chunk of payloads and compares each payload's amplitudes
-with the oracle's support as arrays (``oracle.state_delta``), with no state
-built.
+program and the oracle once per chunk of payloads (``measure.chunk_slices``)
+and compares their amplitudes as arrays (``oracle.payload_deltas``), with no
+state built.
 
 Exit status: 0 on verified success, 1 on verification failure, 2 on a
 configuration error or a failed write.  Reports are JSON written by
@@ -444,14 +444,12 @@ def cmd_oracle_check(args) -> int:
         defects = [oracle.cached_unitarity_defect(ospec, k) for k in range(4)]
         program = walk_program(spec)
         payloads = seeded_payloads(seed, count, spec.qubits)
-        # One program run per chunk, bounded like measure.scored_payloads's.
-        rows = max(1, measure.SCORE_ENTRIES // len(program.labels[-1]))
         max_delta = 0.0
-        for start in range(0, count, rows):
-            chunk = payloads[start : start + rows]
-            re, im = program.run(*stack_payloads(spec, chunk))[-1]
-            for payload, *row in zip(chunk, re, im):
-                max_delta = max(max_delta, oracle.state_delta(program, ospec, payload, *row))
+        for chunk in measure.chunk_slices(count, len(program.labels[-1])):
+            alice, bob = stack_payloads(spec, payloads[chunk])
+            re, im = program.run(alice, bob)[-1]
+            deltas = oracle.payload_deltas(program, ospec, alice, bob, re, im)
+            max_delta = max(max_delta, float(deltas.max()))
         protocol_ok = max(defects) < ORACLE_TOL and max_delta < ORACLE_TOL
         ok = ok and protocol_ok
         checks.append(

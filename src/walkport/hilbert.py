@@ -79,7 +79,7 @@ class Register:
         return value in (0, 1)
 
 
-def lattice(name: str, bound: int = 8) -> Register:
+def lattice(name: str, bound: int) -> Register:
     return Register(name, LATTICE, bound)
 
 

@@ -445,6 +445,12 @@ def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 SCORE_ENTRIES = 1 << 16
 
 
+def chunk_slices(count: int, width: int) -> Iterator[slice]:
+    """Slices of ``count`` rows of ``width`` entries: at most ``SCORE_ENTRIES``, one row at least."""
+    rows = max(1, SCORE_ENTRIES // width)
+    return (slice(start, start + rows) for start in range(0, count, rows))
+
+
 def score_branches(
     spec: ProtocolSpec, alice: np.ndarray, bob: np.ndarray, table: CorrectionTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -480,9 +486,7 @@ def scored_payloads(
     entries, so memory stays bounded for any count.
     """
     alice, bob = stack_payloads(spec, payloads)
-    rows = max(1, SCORE_ENTRIES // branch_maps(spec).matrix.shape[0])
-    for start in range(0, len(payloads), rows):
-        chunk = slice(start, start + rows)
+    for chunk in chunk_slices(len(payloads), branch_maps(spec).matrix.shape[0]):
         yield from zip(*score_branches(spec, alice[chunk], bob[chunk], table))
 
 

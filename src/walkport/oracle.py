@@ -3,16 +3,13 @@
 Each walk step becomes a literal operator matrix on the truncated space,
 assembled with scipy.sparse Kronecker products of per-register factors and
 checked for unitarity as a matrix.  A state is indexed by a mixed-radix
-encoding of its basis label.  ``dense_support`` applies the matrices to the
-state's support only: it keeps the sorted flat indices of the nonzero
-amplitudes and their values, and each step gathers the matrix columns of
-those indices.  Its cost follows the support (at most 256 terms here), not
-the dimension of the space.  ``dense_run`` returns that support as a state.
-
-``state_delta`` compares the support with the walk program's final
-amplitudes as arrays: ``label_indices`` maps each program label to its flat
-index once per program, and the delta is the max of ``np.hypot`` over both
-supports, the float ``SparseState.max_delta`` of the two states gives.
+encoding of its basis label.  ``step_reach`` restricts the matrices, once
+per spec, to the walk's reach: the flat indices any payload's amplitudes
+can occupy before and after each step (at most 256 here, not the dimension
+of the space).  ``dense_values`` evolves a chunk of payloads there with four
+sparse products, and ``payload_deltas`` compares the result with the walk
+program's final amplitudes as arrays, paired once per program through
+``label_slots``.  ``dense_support`` and ``dense_run`` are a chunk of one.
 
 The truncation is derived from the spec, not tabulated: a lattice walker's
 reach is the sum, over the steps, of the largest |jump| among the shift
@@ -35,18 +32,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionOverflow, NonFiniteAmplitude
-from .hilbert import COIN, LATTICE, Register, RegisterLayout, SparseState, below_prune_tol, read_only
-from .protocols import Payload, ProtocolSpec, get_protocol
+from .hilbert import LATTICE, Register, RegisterLayout, SparseState, below_prune_tol, read_only
+from .protocols import Payload, ProtocolSpec, get_protocol, stack_payloads
 from .walkops import WalkProgram, WalkStep
 
 DIM_CAP = 1 << 26
 
 
 def layout_dim(layout: RegisterLayout) -> int:
-    dim = 1
-    for reg in layout:
-        dim *= reg.dim
-    return dim
+    return math.prod(reg.dim for reg in layout)
 
 
 def check_dim(layout: RegisterLayout) -> int:
@@ -105,10 +99,8 @@ def oracle_spec(protocol_id: str) -> ProtocolSpec:
 def shift_factor(reg: Register, step: int) -> sp.csc_matrix:
     """Cyclic permutation moving a position register by ``step``."""
     n = reg.dim
-    rows = [(i + step) % n for i in range(n)]
-    return sp.csc_matrix(
-        (np.ones(n), (rows, np.arange(n))), shape=(n, n), dtype=complex
-    )
+    rows = (np.arange(n) + step) % n
+    return sp.csc_matrix((np.ones(n), (rows, np.arange(n))), shape=(n, n), dtype=complex)
 
 
 def coin_projector_factor(value: int) -> sp.csc_matrix:
@@ -177,14 +169,17 @@ def unitarity_defect(matrix: sp.spmatrix) -> float:
     return float(np.abs(deviation.data).max()) if deviation.nnz else 0.0
 
 
-def initial_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted flat indices of the initial state's nonzero amplitudes, and the amplitudes.
+def initial_values(
+    spec: ProtocolSpec, alice: np.ndarray, bob: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The initial product state of ``(n, d)`` stacked payloads, on the flat indices it can occupy.
 
-    The initial product state is the left-to-right Kronecker product of one
-    factor per register (one per payload vector for each party's input
-    coins), taken over each factor's nonzero entries only.
+    The left-to-right Kronecker product of one factor per register (one per
+    payload vector for each party's input coins), taken over every payload
+    component and each other factor's nonzero entries, so the sorted indices
+    do not depend on the payloads.  Returns them and the ``(n, len)`` amplitudes.
     """
-    factors: list[np.ndarray] = []
+    indices, values = np.zeros(1, dtype=np.intp), None
     consumed: set[str] = set()
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     for reg in spec.layout:
@@ -192,57 +187,18 @@ def initial_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, n
             continue
         if reg.name in (spec.alice_coins[0], spec.bob_coins[0]):
             alice_side = reg.name == spec.alice_coins[0]
-            factors.append(np.asarray(payload.alice if alice_side else payload.bob))
             consumed.update(spec.alice_coins if alice_side else spec.bob_coins)
-        elif reg.name in spec.plus_coins:
-            factors.append(plus)
-        elif reg.kind == COIN:
-            factors.append(np.array([1.0, 0.0], dtype=complex))
+            entries = alice if alice_side else bob
+            size, positions = entries.shape[1], np.arange(entries.shape[1])
         else:
-            vec = np.zeros(reg.dim, dtype=complex)
-            vec[value_index(reg, 0)] = 1.0
-            factors.append(vec)
-    first, *rest = factors
-    indices = np.flatnonzero(first)
-    values = first[indices]
-    for factor in rest:
-        nonzero = np.flatnonzero(factor)
-        indices = (indices[:, None] * len(factor) + nonzero).ravel()
-        values = (values[:, None] * factor[nonzero]).ravel()
+            one_hot = np.eye(reg.dim, dtype=complex)[value_index(reg, 0)]
+            factor = plus if reg.name in spec.plus_coins else one_hot
+            size, positions = reg.dim, np.flatnonzero(factor)
+            entries = factor[None, positions]
+        indices = (indices[:, None] * size + positions).ravel()
+        product = entries if values is None else values[:, :, None] * entries[:, None, :]
+        values = product.reshape(len(product), -1)
     return indices, values
-
-
-def gather_columns(matrix: sp.csc_matrix, indices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The row indices, data and column lengths of ``matrix[:, indices]``.
-
-    Sliced straight from the CSC arrays, in scipy's order, with no matrix built.
-    """
-    starts = matrix.indptr[indices]
-    counts = matrix.indptr[indices + 1] - starts
-    ends = np.cumsum(counts)
-    positions = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-    return matrix.indices[positions], matrix.data[positions], counts
-
-
-def apply_to_support(
-    matrix: sp.csc_matrix, indices: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``matrix @ x`` for the x that holds ``values`` at the sorted ``indices``.
-
-    Gathers the matrix columns at ``indices`` and sums each output row over
-    them in ascending column order, starting from zero, so the cost follows
-    the support, not the dimension.  That is the order of a CSR mat-vec
-    over the whole space; with real matrix entries, as every step matrix
-    has, the products round the same too, so the amplitudes are
-    bitwise-equal to it.  Returns the sorted output rows and their
-    amplitudes, exact zeros included.
-    """
-    column_rows, data, counts = gather_columns(matrix, indices)
-    products = data * np.repeat(values, counts)
-    rows, slots = np.unique(column_rows, return_inverse=True)
-    out = np.zeros(len(rows), dtype=complex)
-    np.add.at(out, slots, products)
-    return rows, out
 
 
 @functools.cache
@@ -259,17 +215,45 @@ def cached_unitarity_defect(spec: ProtocolSpec, step_index: int) -> float:
     return unitarity_defect(cached_step_matrix(spec, step_index))
 
 
-def dense_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-measurement state from the literal step matrices, evolved on its support.
+@functools.cache
+def step_reach(spec: ProtocolSpec) -> tuple[tuple[np.ndarray, ...], tuple[sp.csr_matrix, ...]]:
+    """The walk's reach before and after each step, and each step matrix restricted to it.
 
-    Returns the sorted flat indices of its terms and their amplitudes, pruned
-    by ``below_prune_tol``.
+    ``reaches[0]`` are ``initial_values``'s indices and ``reaches[k + 1]`` the
+    rows that step k's matrix stores in its columns at ``reaches[k]``.
+    ``matrices[k]`` is that matrix's block of rows ``reaches[k + 1]`` and
+    columns ``reaches[k]``, as CSR with sorted indices: a product with it sums
+    each row's terms in the order a CSR mat-vec over the whole space does,
+    minus the terms that multiply exact zeros, so the amplitudes are
+    bitwise-equal to that evolution's.  Built once per spec object; read only.
     """
-    indices, values = initial_support(spec, payload)
+    ones = np.ones((1, 1 << spec.qubits))
+    reaches, matrices = [initial_values(spec, ones, ones)[0]], []
     for k in range(len(spec.steps)):
-        indices, values = apply_to_support(cached_step_matrix(spec, k), indices, values)
-    keep = ~below_prune_tol(values.real, values.imag)
-    return indices[keep], values[keep]
+        columns = cached_step_matrix(spec, k)[:, reaches[-1]]
+        indices, rows = np.unique(columns.indices, return_inverse=True)
+        shape = (len(indices), len(columns.indptr) - 1)
+        matrix = sp.csc_matrix((columns.data, rows, columns.indptr), shape=shape).tocsr()
+        matrix.sort_indices()
+        reaches.append(indices)
+        matrices.append(matrix)
+    read_only(*reaches, *(getattr(m, f) for m in matrices for f in ("data", "indices", "indptr")))
+    return tuple(reaches), tuple(matrices)
+
+
+def dense_values(spec: ProtocolSpec, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Final amplitudes of ``(n, d)`` payloads on ``reaches[-1]``, 0 where ``below_prune_tol`` prunes."""
+    values = initial_values(spec, alice, bob)[1].T
+    for matrix in step_reach(spec)[1]:
+        values = matrix @ values
+    return np.where(below_prune_tol(values.real, values.imag), 0.0, values)
+
+
+def dense_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, np.ndarray]:
+    """One payload's ``dense_values``: the sorted flat indices of its terms and their amplitudes."""
+    values = dense_values(spec, *stack_payloads(spec, [payload]))[:, 0]
+    keep = np.flatnonzero(values)
+    return step_reach(spec)[0][-1][keep], values[keep]
 
 
 def dense_run(spec: ProtocolSpec, payload: Payload) -> SparseState:
@@ -296,35 +280,47 @@ def label_indices(program: WalkProgram, ospec: ProtocolSpec) -> np.ndarray:
     return flat
 
 
-def state_delta(
-    program: WalkProgram, ospec: ProtocolSpec, payload: Payload, re: np.ndarray, im: np.ndarray
-) -> float:
-    """``dense_run(ospec, payload).max_delta(state)``, on arrays, with no state built.
+@functools.cache
+def label_slots(program: WalkProgram, ospec: ProtocolSpec) -> np.ndarray:
+    """The rows of ``ospec``'s final reach that ``payload_deltas`` compares, in order.
 
-    ``re`` and ``im`` are the payload's final amplitudes from ``program``,
-    one per label, and ``state`` is ``program.state(-1, re, im)``.  Each
-    label is paired with the oracle's term at its flat index
-    (``label_indices``), or with 0.0 where the oracle has no term there or
-    the label is outside the space; an oracle term that no label pairs with
-    counts at its own |amplitude|.  ``np.hypot`` rounds as the states'
-    complex ``abs`` does, so the max is the same float.  A non-finite
-    amplitude on either side makes it non-finite and raises
-    NonFiniteAmplitude, as building either state would.
+    One per final label of ``program``, the row at its flat index
+    (``label_indices``) or, where the reach has none, the row past its end,
+    which reads 0; then each row that no label pairs with.  Cached; read only.
     """
-    indices, values = dense_support(ospec, payload)
+    final = step_reach(ospec)[0][-1]
     flat = label_indices(program, ospec)
-    slots = np.searchsorted(indices, flat)
-    paired = slots < len(indices)  # a slot past the last index pairs with nothing
-    paired[paired] = indices[slots[paired]] == flat[paired]
-    matched = slots[paired]
-    oracle_at = np.zeros(len(flat), dtype=complex)
-    oracle_at[paired] = values[matched]
-    unpaired = np.ones(len(indices), dtype=bool)
-    unpaired[matched] = False
-    delta = np.maximum(
-        np.hypot(oracle_at.real - re, oracle_at.imag - im).max(initial=0.0),
-        np.hypot(values.real[unpaired], values.imag[unpaired]).max(initial=0.0),
-    )
-    if not np.isfinite(delta):
+    slots = np.searchsorted(final, flat)
+    slots[final[np.minimum(slots, len(final) - 1)] != flat] = len(final)
+    slots = np.concatenate([slots, np.setdiff1d(np.arange(len(final)), slots)])
+    read_only(slots)
+    return slots
+
+
+def payload_deltas(
+    program: WalkProgram,
+    ospec: ProtocolSpec,
+    alice: np.ndarray,
+    bob: np.ndarray,
+    re: np.ndarray,
+    im: np.ndarray,
+) -> np.ndarray:
+    """Each payload's ``dense_run(ospec, payload).max_delta(state)``, with no state built.
+
+    ``re`` and ``im`` are the ``(n, len(labels))`` final amplitudes of the
+    ``(n, d)`` payloads from ``program``, and ``state`` is
+    ``program.state(-1, re[i], im[i])``.  Each label is compared with the
+    oracle's pruned term at its ``label_slots`` row, which reads 0.0 where
+    the oracle has none, and each oracle term that no label pairs with counts
+    at its own |amplitude|.  ``np.hypot`` rounds as the states' complex
+    ``abs`` does, so each max is the same float.  A non-finite amplitude on
+    either side raises NonFiniteAmplitude, as building either state would.
+    """
+    values = dense_values(ospec, alice, bob)
+    diff = np.vstack([values, np.zeros(values.shape[1])])[label_slots(program, ospec)].T
+    diff.real[:, : re.shape[1]] -= re
+    diff.imag[:, : im.shape[1]] -= im
+    deltas = np.hypot(diff.real, diff.imag).max(axis=1)
+    if not np.isfinite(deltas).all():
         raise NonFiniteAmplitude(f"non-finite amplitude in {ospec.id}'s final state")
-    return float(delta)
+    return deltas

@@ -10,7 +10,7 @@ from states import allclose, densify, label_to_index
 from test_spec_mutations import first_jump_off_by_one
 from walkport import cli, measure, oracle
 from walkport.errors import DimensionOverflow, NonFiniteAmplitude
-from walkport.hilbert import COIN, RegisterLayout, lattice
+from walkport.hilbert import COIN, RegisterLayout, below_prune_tol, lattice
 from walkport.protocols import (
     PROTOCOL_IDS,
     Payload,
@@ -224,61 +224,69 @@ def _bits(amp: complex) -> bytes:
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
 def test_support_run_bitwise_equal_to_dense_evolution(pid):
     # The reference is the dense evolution: the full initial vector, one CSR
-    # mat-vec over every row per step, then sparsify.
-    spec = oracle.oracle_spec(pid)
-    csr = [oracle.cached_step_matrix(spec, k).tocsr() for k in range(4)]
-    for payload in seeded_payloads(21, 5, spec.qubits):
-        vec = dense_initial(spec, payload)
-        indices, values = oracle.initial_support(spec, payload)
-        assert np.array_equal(indices, np.flatnonzero(vec))
-        assert [_bits(v) for v in values.tolist()] == [_bits(v) for v in vec[indices].tolist()]
-        for matrix in csr:
-            vec = matrix @ vec
-        want = oracle.sparsify(vec, spec.layout)
-        got = oracle.dense_run(spec, payload)
-        assert list(got.amps) == list(want.amps)
-        assert all(type(amp) is complex for amp in got.amps.values())
-        assert [_bits(a) for a in got.amps.values()] == [_bits(a) for a in want.amps.values()]
+    # mat-vec over every row per step, then sparsify.  The basis payloads
+    # give exact zeros inside the reach; one site short, walkers wrap around.
+    spec = get_protocol(pid)
+    payloads = seeded_payloads(21, 5, spec.qubits) + _basis_payloads(spec.qubits)
+    alice, bob = stack_payloads(spec, payloads)
+    for ospec in _oracle_specs(pid):
+        reaches, matrices = cached = oracle.step_reach(ospec)
+        assert oracle.step_reach(ospec) is cached
+        arrays = [*reaches, *(getattr(m, f) for m in matrices for f in ("data", "indices", "indptr"))]
+        assert not any(array.flags.writeable for array in arrays)
+        assert all(m.format == "csr" and m.has_sorted_indices for m in matrices)
+        csr = [oracle.cached_step_matrix(ospec, k).tocsr() for k in range(4)]
+        indices, values = oracle.initial_values(ospec, alice, bob)
+        chunk = oracle.dense_values(ospec, alice, bob)
+        for i, payload in enumerate(payloads):
+            vec = dense_initial(ospec, payload)
+            assert np.array_equal(indices, reaches[0])
+            assert not np.any(np.delete(vec, indices))
+            assert [_bits(v) for v in values[i].tolist()] == [_bits(v) for v in vec[indices].tolist()]
+            for matrix in csr:
+                vec = matrix @ vec
+            assert not np.any(np.delete(vec, reaches[-1]))
+            kept = np.where(below_prune_tol(vec.real, vec.imag), 0.0, vec)[reaches[-1]]
+            assert [_bits(v) for v in chunk[:, i].tolist()] == [_bits(v) for v in kept.tolist()]
+            want = oracle.sparsify(vec, ospec.layout)
+            got = oracle.dense_run(ospec, payload)
+            assert list(got.amps) == list(want.amps)
+            assert all(type(amp) is complex for amp in got.amps.values())
+            assert [_bits(a) for a in got.amps.values()] == [_bits(a) for a in want.amps.values()]
 
 
-def test_apply_to_support_sums_like_a_dense_mat_vec():
-    # No walk step sends two support terms to one row, so this gives every
-    # row several terms, which makes the summation order visible in the bits.
-    # The entries are real like every step matrix's: numpy's vectorized
-    # complex product may round differently from scipy's for complex entries.
+@pytest.fixture
+def fresh_reach_cache():
+    """An empty reach cache, emptied again so no reach of a faked matrix outlives the test."""
+    oracle.step_reach.cache_clear()
+    yield
+    oracle.step_reach.cache_clear()
+
+
+def test_reach_products_sum_like_a_full_space_mat_vec(fresh_reach_cache, monkeypatch):
+    # Every row of the walks' restricted step matrices holds one term, so
+    # random real matrices stand in for them here: their rows hold several
+    # terms, which makes the summation order visible in the bits.
+    spec = oracle.oracle_spec("cycle1q")
+    dim = oracle.layout_dim(spec.layout)
     rng = np.random.default_rng(12)
-    dense = rng.standard_normal((60, 80)).astype(complex)
-    dense[rng.random((60, 80)) < 0.7] = 0.0
-    matrix = sp.csc_matrix(dense)
-    indices = np.sort(rng.choice(80, size=30, replace=False))
-    values = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    vec = np.zeros(80, dtype=complex)
-    vec[indices] = values
-    want = matrix.tocsr() @ vec
-    rows, got = oracle.apply_to_support(matrix, indices, values)
-    assert np.array_equal(rows, np.flatnonzero(want))
-    assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want[rows].tolist()]
-
-
-@pytest.mark.parametrize("pid", PROTOCOL_IDS)
-def test_column_gather_equals_scipy_fancy_indexing(pid):
-    # Also on a random matrix whose columns store their rows in descending order.
-    rng = np.random.default_rng(5)
-    spec = oracle.oracle_spec(pid)
-    csc = sp.random(40, 50, density=0.3, format="csc", random_state=6)
-    unsorted = sp.csc_matrix(
-        (csc.data[::-1], csc.indices[::-1], csc.nnz - csc.indptr[::-1]), shape=csc.shape
-    )
-    matrices = [oracle.cached_step_matrix(spec, k) for k in range(4)] + [unsorted]
-    for matrix in matrices:
-        n = matrix.shape[1]
-        for size in (1, 2, min(n, 37), min(n, 256)):
-            indices = np.sort(rng.choice(n, size=size, replace=False))
-            want = matrix[:, indices]
-            rows, data, counts = oracle.gather_columns(matrix, indices)
-            assert np.array_equal(rows, want.indices)
-            assert data.tobytes() == want.data.tobytes()
-            assert np.array_equal(counts, np.diff(want.indptr))
+    fakes = []
+    for _ in range(4):
+        dense = rng.standard_normal((dim, dim))
+        dense[rng.random((dim, dim)) < 0.97] = 0.0
+        fakes.append(sp.csc_matrix(dense.astype(complex)))
+    monkeypatch.setattr(oracle, "cached_step_matrix", lambda spec, k: fakes[k])
+    payloads = seeded_payloads(5, 3, spec.qubits)
+    chunk = oracle.dense_values(spec, *stack_payloads(spec, payloads))
+    reach = oracle.step_reach(spec)[0][-1]
+    assert max(np.diff(m.indptr).max() for m in oracle.step_reach(spec)[1]) > 2
+    for i, payload in enumerate(payloads):
+        vec = dense_initial(spec, payload)
+        for matrix in fakes:
+            vec = matrix.tocsr() @ vec
+        assert not np.any(np.delete(vec, reach))
+        kept = np.where(below_prune_tol(vec.real, vec.imag), 0.0, vec)[reach]
+        assert [_bits(v) for v in chunk[:, i].tolist()] == [_bits(v) for v in kept.tolist()]
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
@@ -349,12 +357,14 @@ def test_state_delta_bitwise_equal_to_max_delta_of_the_states(pid):
     spec = get_protocol(pid)
     program = walk_program(spec)
     payloads = seeded_payloads(17, 20, spec.qubits) + _basis_payloads(spec.qubits)
-    re, im = program.run(*stack_payloads(spec, payloads))[-1]
+    alice, bob = stack_payloads(spec, payloads)
+    re, im = program.run(alice, bob)[-1]
     for ospec in _oracle_specs(pid):
-        got = [oracle.state_delta(program, ospec, p, re[k], im[k]) for k, p in enumerate(payloads)]
+        got = oracle.payload_deltas(program, ospec, alice, bob, re, im).tolist()
         want = [oracle.dense_run(ospec, p).max_delta(run_walks(spec, p)) for p in payloads]
-        assert all(type(delta) is float for delta in got)
         assert [_bits(d) for d in got] == [_bits(d) for d in want]
+        slots = oracle.label_slots(program, ospec)
+        assert slots is oracle.label_slots(program, ospec) and not slots.flags.writeable
         if ospec is oracle.oracle_spec(pid):
             assert max(got) < 1e-10
         else:
@@ -383,19 +393,20 @@ def test_non_finite_amplitude_on_either_side_raises(side, monkeypatch):
     ospec = oracle.oracle_spec("line1q")
     program = walk_program(spec)
     (payload,) = seeded_payloads(0, 1, spec.qubits)
-    re, im = (row[0].copy() for row in program.run(*stack_payloads(spec, [payload]))[-1])
+    alice, bob = stack_payloads(spec, [payload])
+    re, im = (part.copy() for part in program.run(alice, bob)[-1])
     if side == "oracle":
-        support = oracle.dense_support
+        dense_values = oracle.dense_values
 
-        def poisoned(spec, payload):
-            indices, values = support(spec, payload)
-            return indices, np.where(np.arange(len(values)) == 3, np.nan, values)
+        def poisoned(spec, alice, bob):
+            values = dense_values(spec, alice, bob)
+            return np.where(np.arange(len(values))[:, None] == 3, np.nan, values)
 
-        monkeypatch.setattr(oracle, "dense_support", poisoned)
+        monkeypatch.setattr(oracle, "dense_values", poisoned)
     else:
-        im[5] = np.nan
+        im[0, 5] = np.nan
     with pytest.raises(NonFiniteAmplitude):
-        oracle.state_delta(program, ospec, payload, re, im)
+        oracle.payload_deltas(program, ospec, alice, bob, re, im)
 
 
 def _reference_report(seed: int, count: int) -> str:
