@@ -87,6 +87,8 @@ CORPUS: list[tuple[tuple[str, ...], str | None]] = [
         ("tables", "twostep2q"),
         ("tables", "line1q", "--bound", "3"),
         ("tables", "line1q", "--bound", "1"),
+        ("tables", "single2q", "--bound", "2"),  # the tightest bounds the two-qubit walks fit
+        ("tables", "twostep2q", "--bound", "4"),
         ("tables", "single2q", "--families", "P1..P3,P1"),
         ("tables", "line1q", "--families", ""),
         ("tables", "line1q", "--families", "nosuch"),

@@ -223,8 +223,8 @@ def cycle_line_difference(line: ProtocolSpec, cyc: ProtocolSpec) -> np.ndarray:
     labels = sorted(set(reduced) | set(cycle_labels))
     row = {label: k for k, label in enumerate(labels)}
     difference = np.zeros((len(labels), cycle_walks.shape[1]), dtype=complex)
-    np.add.at(difference, [row[label] for label in reduced], line_walks.toarray())
-    np.subtract.at(difference, [row[label] for label in cycle_labels], cycle_walks.toarray())
+    np.add.at(difference, [row[label] for label in reduced], line_walks)
+    np.subtract.at(difference, [row[label] for label in cycle_labels], cycle_walks)
     read_only(difference)
     return difference
 

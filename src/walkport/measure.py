@@ -8,20 +8,20 @@ the target coins, and score the result against the expected swapped
 payloads.
 
 Every step from the payloads to a branch residual is linear, so each
-branch compiles, once, to a small matrix of ``alice ⊗ bob``.  The sparse
-engine walks the basis payloads once per spec (``walk_map``), and one
-sparse product of the measurement weights with that map gives every branch
-(``compile_branch_maps``).  A call's payloads are verified as one stack,
-one sparse mat-mat per bounded chunk (``score_branches``).
-``project`` and ``branch_finals`` measure one state branch by branch,
-weighing each outcome by the same ``walsh`` row; they remain as the
-reference the compiled maps are tested against.  Correction
-tables are read off the maps in one vectorised pass: a branch is
-correctable exactly when its map is a Pauli string times the swap, which
-proves fidelity one for every payload.  The synthesized tables are the
-source of truth.  Reference tables bundled under ``data/`` are compared
-against them row by row and any disagreement is reported, not silently
-adopted.
+branch compiles, once, to a small matrix of ``alice ⊗ bob``.  The walk
+program runs the basis payloads once per spec into a dense walk map
+(``walk_map``), and one sparse product of the measurement weights with its
+nonzero entries gives every branch (``compile_branch_maps``).  A call's
+payloads are verified as one stack, one sparse mat-mat per bounded chunk
+(``score_branches``).  ``project`` and ``branch_finals`` measure one state
+branch by branch, weighing each outcome by the same ``walsh`` row; they
+remain as the reference the compiled maps are tested against.  Correction
+tables are read off the maps' stored entries, one per row, in one
+vectorised pass: a branch is correctable exactly when its map is a Pauli
+string times the swap, which proves fidelity one for every payload.  The
+synthesized tables are the source of truth.  Reference tables bundled
+under ``data/`` are compared against them row by row and any disagreement
+is reported, not silently adopted.
 """
 
 from __future__ import annotations
@@ -358,13 +358,13 @@ class BranchMaps:
 
 
 @functools.cache
-def walk_map(spec: ProtocolSpec) -> tuple[tuple[Label, ...], sparse.csr_matrix]:
-    """The sorted labels the basis walks reach, and the ``labels × d²`` walk map.
+def walk_map(spec: ProtocolSpec) -> tuple[tuple[Label, ...], np.ndarray]:
+    """The sorted labels the basis walks reach, and the dense ``labels × d²`` walk map.
 
     Column ``i*d + j`` is the walk of the basis payloads ``(e_i, e_j)``; all
-    ``d²`` are one ``walk_program`` run on the stacked basis rows.  Entries
-    are assembled from the run's real and imaginary parts, bit for bit.
-    Cached per spec object and shared, like ``branch_maps``: read only.
+    ``d²`` are one ``walk_program`` run on the stacked basis rows.  The
+    map's real and imaginary parts are the run's, bit for bit.  Cached per
+    spec object and shared, like ``branch_maps``: read only.
     """
     d = 1 << spec.qubits
     eye = np.eye(d, dtype=complex)
@@ -373,20 +373,17 @@ def walk_map(spec: ProtocolSpec) -> tuple[tuple[Label, ...], sparse.csr_matrix]:
     final = program.labels[-1]
     reached = np.flatnonzero(((re != 0.0) | (im != 0.0)).any(axis=0)).tolist()
     reached.sort(key=final.__getitem__)
-    re, im = re[:, reached].T, im[:, reached].T
-    rows, cols = np.nonzero((re != 0.0) | (im != 0.0))
-    data = np.empty(len(rows), dtype=complex)
-    data.real, data.imag = re[rows, cols], im[rows, cols]
-    matrix = sparse.csr_matrix((data, (rows, cols)), (len(reached), d * d))
-    read_only(matrix.data, matrix.indices, matrix.indptr)
-    return tuple(final[k] for k in reached), matrix
+    walks = np.empty((len(reached), d * d), dtype=complex)
+    walks.real, walks.imag = re[:, reached].T, im[:, reached].T
+    read_only(walks)
+    return tuple(final[k] for k in reached), walks
 
 
 def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
     """Build every branch map as one sparse product ``(Wp ⊗ Wc) · F``.
 
-    The walk map's entries fill a sparse ``F[(member, measured-coin bits),
-    (target bits, column)]``, skipping positions outside every family.
+    The walk map's nonzero entries fill a sparse ``F[(member, measured-coin
+    bits), (target bits, column)]``, skipping positions outside every family.
     ``Wp`` stacks each family's sign-pattern weights block by block and
     ``Wc`` holds the coin weights, so every branch is one row of the product.
     """
@@ -399,16 +396,16 @@ def compile_branch_maps(spec: ProtocolSpec) -> BranchMaps:
     member_row = {m: k for k, m in enumerate(m for f in families for m in f.members)}
     coin_dim, dim = 1 << len(coins), 1 << len(targets)
     labels, walks = walk_map(spec)
-    entries = walks.tocoo()
     member = np.array([member_row.get(tuple(l[i] for i in positions), -1) for l in labels])
     coin, target = (
         np.array([bits_to_index(tuple(l[i] for i in regs)) for l in labels])
         for regs in (coins, targets)
     )
-    measured = member[entries.row] >= 0
-    k, col = entries.row[measured], entries.col[measured]
+    rows, cols = np.nonzero(walks)
+    measured = member[rows] >= 0
+    k, col = rows[measured], cols[measured]
     finals = sparse.csr_matrix(
-        (entries.data[measured], (member[k] * coin_dim + coin[k], target[k] * d * d + col)),
+        (walks[k, col], (member[k] * coin_dim + coin[k], target[k] * d * d + col)),
         shape=(len(member_row) * coin_dim, dim * d * d),
     )
 
@@ -504,39 +501,40 @@ def enumerate_branches(
 
 
 def synthesize_table(spec: ProtocolSpec) -> CorrectionTable:
-    """Read every branch's Pauli correction off its compiled map.
+    """Read every branch's Pauli correction off its compiled map's stored entries.
 
-    With its columns reordered by the swap, a correctable branch map is
-    ``lam * X^x Z^z`` for one pair of masks, so ``Z^z X^x`` (an I, X, Z or
-    ZX per target coin) returns the swapped payloads for every payload.
-    Raises NoPauliCorrection if a branch map has no such form, which
-    signals a measurement plan that loses the payloads.
+    A correctable branch map is ``lam * X^x Z^z`` with its columns reordered
+    by the swap, so ``Z^z X^x`` (an I, X, Z or ZX per target coin) returns
+    the swapped payloads for every payload.  Each row stores exactly one
+    entry; ``x`` is the swap of row 0's column, and with the rows permuted
+    by ``i ^ x``, row ``i`` holds column ``swap[i]`` and ``lam`` times
+    ``walsh`` row ``z`` within ``PAULI_TOL``, where ``lam`` is row 0's
+    value.  Raises NoPauliCorrection if a branch map has no such form or
+    ``|lam|²`` is below ``VACUOUS_TOL``, which signals a measurement plan
+    that loses the payloads.
     """
     maps = branch_maps(spec)
     matrix, dim, n = maps.matrix, maps.dim, len(maps.keys)
     d = 1 << spec.qubits
     idx = np.arange(dim)
     swap = (idx % d) * d + idx // d
-    first = np.arange(n)[:, None] * dim  # each block's first row in the matrix
-    # Column 0 of every block, whose swapped column 0 is itself.
-    column0 = matrix[:, [0]].toarray().reshape(n, dim)
-    xmask = np.argmax(np.abs(column0), axis=1)
-    lam = column0[np.arange(n), xmask]
+    # Each row's first stored entry; a row that stores none reads the padding.
+    first = matrix.indptr[:-1]
+    cols = np.append(matrix.indices, 0)[first].reshape(n, dim)
+    vals = np.append(matrix.data, 0.0)[first].reshape(n, dim)
+    xmask = swap[cols[:, 0]]
+    permuted = idx ^ xmask[:, None]
+    cols, vals = np.take_along_axis(cols, permuted, 1), np.take_along_axis(vals, permuted, 1)
+    lam = vals[:, 0]
     bits = 1 << np.arange(len(spec.target_coins))
-    diagonal = matrix[(first + (bits ^ xmask[:, None])).ravel(), np.tile(swap[bits], n)]
-    flips = (np.asarray(diagonal).reshape(n, len(bits)) * lam.conj()[:, None]).real < 0
-    zmask = flips @ bits
-    # Every block's lam * Z^z X^x, with its columns put back by the swap.
-    signs = walsh(dim)[zmask]
-    expected = sparse.csr_matrix(
-        (
-            (lam[:, None] * signs).ravel(),
-            ((first + (idx ^ xmask[:, None])).ravel(), np.tile(swap, n)),
-        ),
-        shape=matrix.shape,
+    zmask = ((vals[:, bits] * lam.conj()[:, None]).real < 0) @ bits
+    correctable = (
+        (np.diff(matrix.indptr).reshape(n, dim) == 1).all(axis=1)
+        & (cols == swap).all(axis=1)
+        & (np.abs(vals - lam[:, None] * walsh(dim)[zmask]) <= PAULI_TOL).all(axis=1)
+        & (np.abs(lam) ** 2 >= VACUOUS_TOL)
     )
-    residual = abs(matrix - expected).max(axis=1).toarray().reshape(n, dim).max(axis=1)
-    failed = np.flatnonzero((np.abs(lam) ** 2 < VACUOUS_TOL) | (residual > PAULI_TOL))
+    failed = np.flatnonzero(~correctable)
     if failed.size:
         raise NoPauliCorrection(f"no Pauli string corrects branch {maps.keys[failed[0]]}")
     # The first target coin is the most significant bit.

@@ -9,7 +9,7 @@ can occupy before and after each step (at most 256 here, not the dimension
 of the space).  ``dense_values`` evolves a chunk of payloads there with four
 sparse products, and ``payload_deltas`` compares the result with the walk
 program's final amplitudes as arrays, paired once per program through
-``label_slots``.  ``dense_support`` and ``dense_run`` are a chunk of one.
+``label_slots``.  ``dense_run`` is a chunk of one, as a state.
 
 The truncation is derived from the spec, not tabulated: a lattice walker's
 reach is the sum, over the steps, of the largest |jump| among the shift
@@ -249,47 +249,30 @@ def dense_values(spec: ProtocolSpec, alice: np.ndarray, bob: np.ndarray) -> np.n
     return np.where(below_prune_tol(values.real, values.imag), 0.0, values)
 
 
-def dense_support(spec: ProtocolSpec, payload: Payload) -> tuple[np.ndarray, np.ndarray]:
-    """One payload's ``dense_values``: the sorted flat indices of its terms and their amplitudes."""
+def dense_run(spec: ProtocolSpec, payload: Payload) -> SparseState:
+    """One payload's ``dense_values`` as a state of its unpruned terms."""
     values = dense_values(spec, *stack_payloads(spec, [payload]))[:, 0]
     keep = np.flatnonzero(values)
-    return step_reach(spec)[0][-1][keep], values[keep]
-
-
-def dense_run(spec: ProtocolSpec, payload: Payload) -> SparseState:
-    """``dense_support`` as a state."""
-    return support_state(spec.layout, *dense_support(spec, payload))
-
-
-@functools.cache
-def label_indices(program: WalkProgram, ospec: ProtocolSpec) -> np.ndarray:
-    """The flat index in ``ospec``'s space of each final label of ``program``.
-
-    The inverse of ``support_state``'s ``unravel_index``: one mixed-radix
-    ``ravel_multi_index`` of the labels' dense axis positions.  A label
-    outside the truncated space maps to -1.  Built once per program and
-    spec object; read only.
-    """
-    dims = [reg.dim for reg in ospec.layout]
-    labels = np.array(program.labels[-1])
-    positions = labels + [value_index(reg, 0) for reg in ospec.layout]
-    inside = ((positions >= 0) & (positions < dims)).all(axis=1)
-    flat = np.full(len(labels), -1)
-    flat[inside] = np.ravel_multi_index(tuple(positions[inside].T), dims)
-    read_only(flat)
-    return flat
+    return support_state(spec.layout, step_reach(spec)[0][-1][keep], values[keep])
 
 
 @functools.cache
 def label_slots(program: WalkProgram, ospec: ProtocolSpec) -> np.ndarray:
     """The rows of ``ospec``'s final reach that ``payload_deltas`` compares, in order.
 
-    One per final label of ``program``, the row at its flat index
-    (``label_indices``) or, where the reach has none, the row past its end,
-    which reads 0; then each row that no label pairs with.  Cached; read only.
+    Each final label of ``program`` has a flat index in ``ospec``'s space,
+    one mixed-radix ``ravel_multi_index`` of its dense axis positions (the
+    inverse of ``support_state``'s ``unravel_index``).  The slots are, per
+    label, the reach's row at that index or, where the label is outside the
+    space or the reach has no such row, the row past its end, which reads 0;
+    then each row that no label pairs with.  Cached per program and spec
+    object; read only.
     """
     final = step_reach(ospec)[0][-1]
-    flat = label_indices(program, ospec)
+    dims = [reg.dim for reg in ospec.layout]
+    positions = np.array(program.labels[-1]) + [value_index(reg, 0) for reg in ospec.layout]
+    inside = ((positions >= 0) & (positions < dims)).all(axis=1)
+    flat = np.where(inside, np.ravel_multi_index(tuple(positions.T), dims, mode="clip"), -1)
     slots = np.searchsorted(final, flat)
     slots[final[np.minimum(slots, len(final) - 1)] != flat] = len(final)
     slots = np.concatenate([slots, np.setdiff1d(np.arange(len(final)), slots)])

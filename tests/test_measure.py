@@ -39,6 +39,7 @@ from walkport.protocols import (
     get_protocol,
     run_walks,
     seeded_payloads,
+    walk_program,
 )
 from walkport.walkops import WalkProgram
 
@@ -192,11 +193,16 @@ def test_cached_arrays_are_read_only(warm_tables):
     maps = branch_maps(LINE)
     _, walks = measure.walk_map(LINE)
     step = oracle.cached_step_matrix(LINE, 0)
+    slots = oracle.label_slots(walk_program(LINE), oracle.oracle_spec("line1q"))
     pairs, names, si, ti = equivalence.outcome_bijection(single, twostep)
     assert isinstance(pairs, tuple) and isinstance(names, tuple)
     src, sign = synthesized_table(LINE).signed_permutations(maps.keys, maps.layout)
     arrays = [
-        *(getattr(m, f) for m in (walks, maps.matrix, step) for f in ("data", "indices", "indptr")),
+        *(getattr(m, f) for m in (maps.matrix, step) for f in ("data", "indices", "indptr")),
+        walks,
+        walks.real,
+        walks.imag,
+        slots,
         si,
         ti,
         src,
@@ -579,6 +585,58 @@ def test_first_failing_key_is_named_when_later_keys_fail_too(warm_tables):
     assert new == f"no Pauli string corrects branch {branch_maps(spec).keys[0]}"
 
 
+def _with_block0(monkeypatch, edit):
+    """Patch ``branch_maps`` to return LINE's maps with block ``('00', '++')`` edited as LIL."""
+    maps = branch_maps(LINE)
+    assert maps.keys[0] == ("00", "++")
+    matrix = maps.matrix.tolil()
+    edit(matrix, maps.matrix)
+    edited = measure.BranchMaps(maps.keys, matrix.tocsr(), maps.layout)
+    monkeypatch.setattr(measure, "branch_maps", lambda spec: edited)
+    return edited
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_a_second_stored_entry_in_a_row_fails_the_read_off(warm_tables, monkeypatch, row):
+    # A correctable row stores exactly one entry.  A second one fails its
+    # branch, stored before or after it, even far inside PAULI_TOL.
+    def add(matrix, maps):
+        matrix[row, (maps.indices[row] + 1) % 4] = 1e-13
+
+    edited = _with_block0(monkeypatch, add)
+    assert edited.matrix.nnz == branch_maps(LINE).matrix.nnz + 1
+    assert _failing_key(lambda: synthesize_table(LINE)) == "no Pauli string corrects branch ('00', '++')"
+
+
+@pytest.mark.parametrize("edit", ["column", "phase", "vacuous"])
+def test_one_entry_per_row_is_not_enough_for_the_read_off(warm_tables, monkeypatch, edit):
+    # The entries must also sit in the swap's pattern, be one lam times a
+    # walsh row, and have |lam|² of at least VACUOUS_TOL.
+    def change(matrix, maps):
+        cols, vals = maps.indices, maps.data
+        if edit == "column":  # rows 1 and 2 trade columns
+            matrix[1, cols[1]] = matrix[2, cols[2]] = 0.0
+            matrix[1, cols[2]], matrix[2, cols[1]] = vals[1], vals[2]
+        elif edit == "phase":
+            matrix[0, cols[0]] *= 1j
+        else:
+            for row in range(4):
+                matrix[row, cols[row]] *= 1e-8
+
+    edited = _with_block0(monkeypatch, change)
+    assert (np.diff(edited.matrix.indptr) == 1).all()
+    assert _failing_key(lambda: synthesize_table(LINE)) == "no Pauli string corrects branch ('00', '++')"
+
+
+@pytest.mark.parametrize("families", [("far",), ("00", "far")], ids=["far", "00-far"])
+def test_a_family_no_walk_reaches_fails_the_read_off(families):
+    # No basis walk reaches (6, 6), so the far family's branches store no entry at all.
+    origin = _family(LINE, "00")
+    plan = {"00": origin, "far": PositionFamily("far", origin.registers, ((6, 6),))}
+    spec = _with_families(LINE, *(plan[name] for name in families))
+    assert _failing_key(lambda: synthesize_table(spec)) == "no Pauli string corrects branch ('far', '++')"
+
+
 def test_compiling_walks_the_basis_payloads_and_never_projects(monkeypatch):
     calls = {"project": 0, "branch_finals": 0}
 
@@ -615,11 +673,11 @@ def test_walk_map_rows_hold_one_entry_of_plus_or_minus_two_to_the_minus_q(pid):
     basis = np.eye(d)
     for col, (i, j) in enumerate(itertools.product(range(d), repeat=2)):
         final = run_walks(spec, Payload(basis[i], basis[j]))
-        assert walks[:, [col]].toarray().ravel().tolist() == [final.amplitude(l) for l in labels]
+        assert walks[:, col].tolist() == [final.amplitude(l) for l in labels]
     # In exact arithmetic every entry is +-2^-q; the walks round within an ulp.
-    assert (np.diff(walks.indptr) == 1).all()
-    scale = 2.0**-spec.qubits
-    assert np.minimum(abs(walks.data - scale), abs(walks.data + scale)).max() <= 1.2e-16
+    assert (np.count_nonzero(walks, axis=1) == 1).all()
+    entries, scale = walks[walks != 0], 2.0**-spec.qubits
+    assert np.minimum(abs(entries - scale), abs(entries + scale)).max() <= 1.2e-16
 
 
 @pytest.mark.parametrize("pid", PROTOCOL_IDS)
